@@ -8,10 +8,12 @@ from .finsler_metric import (FinslerMetric, LFunction, LValidationReport,
                              degree_one_sum, l_function_from_spec,
                              riemannian_metric, validate_l)
 from .geodesic import (EquivarianceCheck, GeodesicGraphResult,
-                       GeodesicVectorCheck, MatrixRealization, ScanReport,
-                       assemble_system, check_equivariance, geodesic_residual,
+                       GeodesicVectorCheck, GraphBatch, MatrixRealization,
+                       ScanReport, assemble, assemble_system,
+                       check_equivariance, check_equivariance_batch,
+                       criterion_residuals, geodesic_residual,
                        go_property_scan, is_geodesic_vector, orbit_curve,
-                       solve_geodesic_graph)
+                       solve_batch, solve_geodesic_graph)
 from .s7_catalog import (ClosedFormReport, KCoefficients, S7Space,
                          build_s7_space, closed_form_xi, extended_matrix,
                          k_coefficients, verify_closed_form)
@@ -26,9 +28,11 @@ __all__ = [
     "FinslerMetric", "LFunction", "LValidationReport", "degree_one_sum",
     "l_function_from_spec", "riemannian_metric", "validate_l",
     "EquivarianceCheck", "GeodesicGraphResult", "GeodesicVectorCheck",
-    "MatrixRealization", "ScanReport", "assemble_system",
-    "check_equivariance", "geodesic_residual", "go_property_scan",
-    "is_geodesic_vector", "orbit_curve", "solve_geodesic_graph",
+    "GraphBatch", "MatrixRealization", "ScanReport", "assemble",
+    "assemble_system", "check_equivariance", "check_equivariance_batch",
+    "criterion_residuals", "geodesic_residual", "go_property_scan",
+    "is_geodesic_vector", "orbit_curve", "solve_batch",
+    "solve_geodesic_graph",
     "ClosedFormReport", "KCoefficients", "S7Space", "build_s7_space",
     "closed_form_xi", "extended_matrix", "k_coefficients",
     "verify_closed_form",

@@ -28,8 +28,17 @@ HESSIAN_TOL = 1e-8
 FORM_AGREEMENT_TOL = 1e-12
 
 
+def _rowdot(u, w) -> np.ndarray:
+    """u @ w for each row of u, rounded the same way for every batch size."""
+    return (u[..., None, :] @ w)[..., 0]
+
+
 class LFunction:
-    """A combiner L with value and gradient on the positive orthant."""
+    """A combiner L with value and gradient on the positive orthant.
+
+    Built-in kinds evaluate a batch ``u[N, k]`` row by row in one array
+    expression; custom callables are called once per row.
+    """
 
     def __init__(self, kind: str, arity: int, value, grad, weights=None):
         self.kind = kind
@@ -47,7 +56,7 @@ class LFunction:
         """L(u) = sum_j w_j u_j^2 with positive weights."""
         w = _positive_weights(weights)
         return cls("sum_sq", len(w),
-                   lambda u: float(w @ (u * u)),
+                   lambda u: _rowdot(u * u, w),
                    lambda u: 2.0 * w * u,
                    weights=w)
 
@@ -56,8 +65,8 @@ class LFunction:
         """L(u) = (sum_j w_j u_j)^2 with positive weights."""
         w = _positive_weights(weights)
         return cls("sq_sum", len(w),
-                   lambda u: float(w @ u) ** 2,
-                   lambda u: 2.0 * float(w @ u) * w,
+                   lambda u: _rowdot(u, w) ** 2,
+                   lambda u: 2.0 * _rowdot(u, w)[..., None] * w,
                    weights=w)
 
     @classmethod
@@ -68,7 +77,7 @@ class LFunction:
         The callables must be safe for concurrent invocation if the metric
         is evaluated from multiple threads; everything else here is pure.
         """
-        lf = cls("custom", arity, value, grad)
+        lf = cls("custom", arity, _per_row(value), _per_row(grad))
         if check:
             rng = np.random.default_rng(12345)
             for u in rng.uniform(0.3, 2.0, size=(4, arity)):
@@ -83,16 +92,19 @@ class LFunction:
 
     def _check_args(self, u) -> Vector:
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.arity,):
+        if u.ndim not in (1, 2) or u.shape[-1] != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {u.shape}")
         return u
 
-    def value(self, u) -> float:
-        return float(self._value(self._check_args(u)))
+    def value(self, u):
+        u = self._check_args(u)
+        v = np.asarray(self._value(u), dtype=float)
+        return float(v) if u.ndim == 1 else v
 
     def grad(self, u) -> Vector:
-        g = np.asarray(self._grad(self._check_args(u)), dtype=float)
-        if g.shape != (self.arity,):
+        u = self._check_args(u)
+        g = np.asarray(self._grad(u), dtype=float)
+        if g.shape != u.shape:
             raise ValueError("gradient callable returned a wrong shape")
         return g
 
@@ -112,11 +124,19 @@ def degree_one_sum(weights) -> LFunction:
     :func:`validate_l` while the remaining conditions hold.
     """
     w = _positive_weights(weights)
-    lf = LFunction("sum", len(w),
-                   lambda u: float(w @ u),
-                   lambda u: w.copy(),
-                   weights=w)
-    return lf
+    return LFunction("sum", len(w),
+                     lambda u: _rowdot(u, w),
+                     lambda u: np.broadcast_to(w, u.shape).copy(),
+                     weights=w)
+
+
+def _per_row(fn):
+    """Lift a callable on one argument vector to batches, row by row."""
+    def lifted(u):
+        if u.ndim == 1:
+            return fn(u)
+        return np.array([fn(row) for row in u], dtype=float)
+    return lifted
 
 
 def _positive_weights(weights) -> Vector:
@@ -284,8 +304,17 @@ class FinslerMetric:
         return self.space.coerce_m(y, allow_zero=allow_zero)
 
     def _norms(self, ym: Vector) -> Vector:
-        """The k norms (sqrt(g_j(y, y)))_j of an m-coordinate vector."""
-        return np.sqrt(self.family.a @ self.space.block_quadratics(ym))
+        """The k norms (sqrt(g_j(y, y)))_j of m-coordinates ``[..., dim_m]``."""
+        q = self.space.block_quadratics(ym)
+        return np.sqrt((q[..., None, :] @ self.family.a.T)[..., 0, :])
+
+    def _b(self, ym: Vector) -> Vector:
+        u = self._norms(ym)
+        return self.lf.grad(u) / (2.0 * u)
+
+    def _c(self, ym: Vector) -> Vector:
+        """C of m-coordinates that :meth:`ReductiveSpace.coerce_m` returned."""
+        return (self._b(ym)[..., None, :] @ self.family.a)[..., 0, :]
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -297,14 +326,18 @@ class FinslerMetric:
         return float(np.sqrt(self.lf.value(self._norms(ym))))
 
     def b_coefficients(self, y) -> Vector:
-        """Per-metric weights L_j(u)/(2 u_j) at u = (sqrt(g_j(y,y)))_j."""
-        ym = self._require_m(y)
-        u = self._norms(ym)
-        return self.lf.grad(u) / (2.0 * u)
+        """Per-metric weights L_j(u)/(2 u_j) at u = (sqrt(g_j(y,y)))_j.
+
+        A batch ``y[N, n]`` gives ``[N, k]``, one row per base vector.
+        """
+        return self._b(self._require_m(y))
 
     def c_coefficients(self, y) -> Vector:
-        """Per-block weights C_i = sum_j B_j a[j, i]; positive for y != 0."""
-        return self.family.a.T @ self.b_coefficients(y)
+        """Per-block weights C_i = sum_j B_j a[j, i]; positive for y != 0.
+
+        A batch ``y[N, n]`` gives ``[N, s]``, one row per base vector.
+        """
+        return self._c(self._require_m(y))
 
     def fundamental_contraction(self, y, v) -> float:
         """g_y(y, v): the fundamental tensor contracted with the base vector.

@@ -91,6 +91,22 @@ class ReductiveSpace:
             self._block_slices.append(slice(off, off + len(blk)))
             off += len(blk)
 
+        # Per-space tensors of the batched criterion: block i's Gram placed
+        # in its m-slice, the block of each m-coordinate, and the structure
+        # constants c[i, a, k] of [e_i, U_a]_m for i in h and for all i.
+        m, h = self.m_indices, self.h_indices
+        self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
+        for grams, a, sl in zip(self.block_grams, alpha, self._block_slices):
+            grams[sl, sl] = a
+        self._gram = self.block_grams.sum(axis=0)
+        self._block_of = np.repeat(np.arange(self.n_blocks),
+                                   [len(blk) for blk in self.blocks])
+        self._block_sums = np.equal.outer(
+            self._block_of, np.arange(self.n_blocks)).astype(float)
+        c = alg.structure
+        self.c_hmm = c[np.ix_(h, m, m)]
+        self.c_gmm = c[:, m][:, :, m]
+
     # -- shape helpers -------------------------------------------------------
 
     @property
@@ -136,40 +152,47 @@ class ReductiveSpace:
         return self.alg.vector(v)[self.h_indices]
 
     def embed_m(self, vm) -> Vector:
+        """Full coordinates of m-coordinates ``[..., dim_m]``."""
         vm = np.asarray(vm, dtype=float)
-        if vm.shape != (self.dim_m,):
+        if vm.shape[-1:] != (self.dim_m,):
             raise ValueError(f"expected {self.dim_m} m-coordinates")
-        v = np.zeros(self.dim)
-        v[self.m_indices] = vm
+        v = np.zeros(vm.shape[:-1] + (self.dim,))
+        v[..., self.m_indices] = vm
         return v
 
     def embed_h(self, vh) -> Vector:
+        """Full coordinates of h-coordinates ``[..., dim_h]``."""
         vh = np.asarray(vh, dtype=float)
-        if vh.shape != (self.dim_h,):
+        if vh.shape[-1:] != (self.dim_h,):
             raise ValueError(f"expected {self.dim_h} h-coordinates")
-        v = np.zeros(self.dim)
-        v[self.h_indices] = vh
+        v = np.zeros(vh.shape[:-1] + (self.dim,))
+        v[..., self.h_indices] = vh
         return v
 
     def coerce_m(self, v, allow_zero: bool = False) -> Vector:
-        """m-coordinates of a vector given in full or m-coordinates.
+        """m-coordinates of a vector, or of each row of a batch ``[N, n]``,
+        given in full or m-coordinates.
 
         Full-length input must have exactly zero h-coordinates; membership
-        in m is the caller's responsibility, enforced, not assumed.
+        in m is the caller's responsibility, enforced, not assumed.  NaN and
+        infinite entries are rejected.
         """
         v = np.asarray(v, dtype=float)
-        if v.shape == (self.dim,) and self.dim != self.dim_m:
-            if np.any(v[self.h_indices] != 0.0):
+        n = v.shape[-1] if v.ndim in (1, 2) else None
+        if n == self.dim and self.dim != self.dim_m:
+            if v[..., self.h_indices].any():
                 raise ValueError(
                     "vector has isotropy components; project it onto m first")
-            vm = v[self.m_indices]
-        elif v.shape == (self.dim_m,):
+            vm = v[..., self.m_indices]
+        elif n == self.dim_m:
             vm = v.copy()
         else:
             raise ValueError(
                 f"expected {self.dim_m} m-coordinates or {self.dim} full "
                 f"coordinates, got shape {v.shape}")
-        if not allow_zero and not np.any(vm):
+        if not np.isfinite(vm).all():
+            raise ValueError("coordinates must be finite")
+        if not allow_zero and not vm.any(axis=-1).all():
             raise ValueError("the zero vector is not allowed here")
         return vm
 
@@ -180,12 +203,16 @@ class ReductiveSpace:
             if np.any(v[self.m_indices] != 0.0):
                 raise ValueError(
                     "vector has complement components; project it onto h first")
-            return v[self.h_indices]
-        if v.shape == (self.dim_h,):
-            return v.copy()
-        raise ValueError(
-            f"expected {self.dim_h} h-coordinates or {self.dim} full "
-            f"coordinates, got shape {v.shape}")
+            vh = v[self.h_indices]
+        elif v.shape == (self.dim_h,):
+            vh = v.copy()
+        else:
+            raise ValueError(
+                f"expected {self.dim_h} h-coordinates or {self.dim} full "
+                f"coordinates, got shape {v.shape}")
+        if not np.isfinite(vh).all():
+            raise ValueError("coordinates must be finite")
+        return vh
 
     # -- block scalar products -------------------------------------------------
 
@@ -198,24 +225,33 @@ class ReductiveSpace:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.n_blocks,):
             raise ValueError(f"expected {self.n_blocks} block weights")
-        g = np.zeros((self.dim_m, self.dim_m))
-        for w, a, s in zip(weights, self.alpha, self._block_slices):
-            g[s, s] = w * a
-        return g
+        return np.tensordot(weights, self.block_grams, 1)
 
-    def alpha_norm(self, v) -> float:
-        """Norm of the m-part of v in the unweighted block products."""
-        vm = self.m_coords(self.alg.vector(v)) if len(v) == self.dim \
-            else np.asarray(v, dtype=float)
-        return float(np.sqrt(vm @ self.alpha_gram() @ vm))
+    def _apply_gram(self, vm) -> np.ndarray:
+        """Rows of the unweighted block Gram applied to m-coordinates."""
+        return (vm[..., None, :] @ self._gram)[..., 0, :]
+
+    def weighted_apply(self, vm, weights) -> np.ndarray:
+        """Rows of (sum_i weights[..., i] * alpha_i) applied to vm[..., dim_m]."""
+        return weights.take(self._block_of, axis=-1) * self._apply_gram(vm)
+
+    def alpha_norm(self, v):
+        """Norm of the m-part of v in the unweighted block products.
+
+        A batch ``[N, n]`` gives one norm per row.
+        """
+        v = np.asarray(v, dtype=float)
+        vm = v[..., self.m_indices] if v.shape[-1] == self.dim else v
+        quad = (vm[..., None, :] @ self._gram) @ vm[..., :, None]
+        return np.sqrt(quad[..., 0, 0])
 
     def block_quadratics(self, vm) -> Vector:
-        """Per-block values alpha_i(v, v) of an m-coordinate vector."""
+        """Per-block values alpha_i(v, v) of m-coordinates ``[..., dim_m]``."""
         vm = np.asarray(vm, dtype=float)
-        if vm.shape != (self.dim_m,):
+        if vm.shape[-1:] != (self.dim_m,):
             raise ValueError(f"expected {self.dim_m} m-coordinates")
-        return np.array([float(vm[s] @ a @ vm[s])
-                         for a, s in zip(self.alpha, self._block_slices)])
+        return ((vm * self._apply_gram(vm))[..., None, :]
+                @ self._block_sums)[..., 0, :]
 
     # -- validation -------------------------------------------------------------
 

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 Vector = np.ndarray
 
@@ -160,14 +159,20 @@ class LieAlgebra:
         return f"LieAlgebra(dim={self.dim}, basis={self.basis_labels})"
 
 
-def matrix_exponential(m, t: float = 1.0) -> np.ndarray:
-    """exp(t*m) for a square real matrix, via scaling-and-squaring."""
+def matrix_exponential(m, t=1.0) -> np.ndarray:
+    """exp(t*m) for a square real matrix, via scaling-and-squaring.
+
+    A stack ``m[..., n, n]`` gives one exponential per matrix; t is a scalar
+    or broadcasts over the stack.
+    """
+    import scipy.linalg  # about 0.3 s: loaded on first use, not on import
+
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    return scipy.linalg.expm(float(t) * m)
+    return scipy.linalg.expm(np.asarray(t, dtype=float)[..., None, None] * m)
 
 
 def adjoint_group_element(alg: LieAlgebra, h, t: float) -> np.ndarray:

@@ -19,10 +19,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .finsler_metric import FinslerMetric, LFunction, riemannian_metric
-from .geodesic import (MatrixRealization, assemble_system,
-                       check_equivariance, geodesic_residual,
-                       solve_geodesic_graph)
+from .finsler_metric import FinslerMetric, LFunction
+from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
+                       criterion_residuals, solve_batch,
+                       solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
 from .lie_algebra import LieAlgebra, Vector
 
@@ -228,9 +228,11 @@ class KCoefficients:
 
 
 def k_coefficients(c) -> KCoefficients:
-    """Ratios k1 = c2/c3 - 2 c2/c1, k2 = 1 - 2 c3/c1, k3 = c2/c3 - 1."""
-    c = _positive_triple(c)
-    c1, c2, c3 = c
+    """Ratios k1 = c2/c3 - 2 c2/c1, k2 = 1 - 2 c3/c1, k3 = c2/c3 - 1.
+
+    A batch ``c[N, 3]`` gives arrays over the rows.
+    """
+    c1, c2, c3 = _positive_triple(c).T
     return KCoefficients(
         k1=c2 / c3 - 2.0 * c2 / c1,
         k2=1.0 - 2.0 * c3 / c1,
@@ -240,11 +242,16 @@ def k_coefficients(c) -> KCoefficients:
 
 def _positive_triple(c) -> Vector:
     c = np.asarray(c, dtype=float)
-    if c.shape != (3,):
+    if c.ndim not in (1, 2) or c.shape[-1] != 3:
         raise ValueError("expected three block weights")
     if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
         raise ValueError("block weights must be positive")
     return c
+
+
+def _components(y):
+    """The seven m-coordinates x1..x4, z1..z3 of y or of each row of y."""
+    return build_s7_space().space.coerce_m(y, allow_zero=True).T
 
 
 def closed_form_xi(y, c) -> Vector:
@@ -252,16 +259,14 @@ def closed_form_xi(y, c) -> Vector:
 
     Rational in the X-part and linear in the Z-part; at x = 0, where the
     generic formulas are 0/0, the minimal-norm convention (0, 0, 0, k3*z1)
-    applies.  Returns the full 11-vector supported on the isotropy basis.
+    applies.  Returns the full 11-vector supported on the isotropy basis;
+    rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 11]``.
     """
-    space = build_s7_space().space
-    c = _positive_triple(c)
-    ym = space.coerce_m(y, allow_zero=True)
-    x1, x2, x3, x4, z1, z2, z3 = ym
+    x1, x2, x3, x4, z1, z2, z3 = _components(y)
     k = k_coefficients(c)
     nx = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
-    if nx == 0.0:
-        return space.embed_h([0.0, 0.0, 0.0, k.k3 * z1])
+    on_stratum = nx == 0.0
+    nx = np.where(on_stratum, 1.0, nx)
     xi1 = (k.k1 * z1 * (x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4)
            + 2.0 * k.k2 * (z2 * (x2 * x3 - x1 * x4)
                            + z3 * (x1 * x3 + x2 * x4))) / nx
@@ -271,7 +276,11 @@ def closed_form_xi(y, c) -> Vector:
     xi3 = (2.0 * k.k1 * z1 * (x2 * x4 - x1 * x3)
            + k.k2 * (2.0 * z2 * (x1 * x2 + x3 * x4)
                      + z3 * (x1 * x1 - x2 * x2 - x3 * x3 + x4 * x4))) / nx
-    return space.embed_h([xi1, xi2, xi3, k.k3 * z1])
+    out = np.zeros(np.shape(xi1) + (len(LABELS),))  # H1, H2, H3, W: 7..10
+    out[..., 7], out[..., 8], out[..., 9] = xi1, xi2, xi3
+    out[..., 7:10][on_stratum] = 0.0
+    out[..., 10] = k.k3 * z1
+    return out
 
 
 def extended_matrix(y, c) -> np.ndarray:
@@ -280,22 +289,35 @@ def extended_matrix(y, c) -> np.ndarray:
     Rows correspond to the X1..X4, Z2, Z3 equations (the Z1 equation is
     identically zero); the X rows are normalized by c1 and the Z rows by c3.
     Columns are the four isotropy components followed by the right-hand side.
+    Rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 6, 5]``.
     """
-    space = build_s7_space().space
-    c = _positive_triple(c)
-    ym = space.coerce_m(y, allow_zero=True)
-    x1, x2, x3, x4, z1, z2, z3 = ym
-    r21, r31, r23 = c[1] / c[0], c[2] / c[0], c[1] / c[2]
+    x1, x2, x3, x4, z1, z2, z3 = _components(y)
+    c1, c2, c3 = _positive_triple(c).T
+    r21, r31, r23 = c2 / c1, c3 / c1, c2 / c3
     p = 1.0 - 2.0 * r21
     q = 1.0 - 2.0 * r31
-    return np.array([
+    zero = np.zeros_like(z1)
+    rows = [
         [x2, x3, x4, -x2, p * z1 * x2 + q * (z2 * x3 + z3 * x4)],
         [-x1, -x4, x3, x1, -p * z1 * x1 + q * (z2 * x4 - z3 * x3)],
         [x4, -x1, -x2, x4, -p * z1 * x4 + q * (-z2 * x1 + z3 * x2)],
         [-x3, x2, -x1, -x3, p * z1 * x3 - q * (z2 * x2 + z3 * x1)],
-        [0.0, 0.0, 0.0, 2.0 * z3, 2.0 * z1 * z3 * (r23 - 1.0)],
-        [0.0, 0.0, 0.0, -2.0 * z2, 2.0 * z1 * z2 * (1.0 - r23)],
-    ])
+        [zero, zero, zero, 2.0 * z3, 2.0 * z1 * z3 * (r23 - 1.0)],
+        [zero, zero, zero, -2.0 * z2, 2.0 * z1 * z2 * (1.0 - r23)],
+    ]
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
+                     for row in rows], axis=-2)
+
+
+def _extended_deviations(Y, C) -> np.ndarray:
+    """Per row: max abs difference between the display and the row-scaled
+    assembly, and the magnitude of the assembled Z1 row."""
+    a_mat, b_vec = assemble(build_s7_space().space, Y, C)
+    full = np.concatenate([a_mat, b_vec[..., None]], axis=-1)
+    scale = C[:, [0, 0, 0, 0, 2, 2], None]
+    scaled = full[:, [0, 1, 2, 3, 5, 6]] / scale
+    return np.maximum(np.abs(full[:, 4]).max(axis=-1),
+                      np.abs(scaled - extended_matrix(Y, C)).max(axis=(1, 2)))
 
 
 def extended_matrix_deviation(y, c) -> float:
@@ -304,34 +326,30 @@ def extended_matrix_deviation(y, c) -> float:
     Also includes the magnitude of the assembled Z1 row, which the display
     omits because it vanishes identically.
     """
-    s7 = build_s7_space()
-    c = _positive_triple(c)
-    metric = riemannian_metric(s7.space, c)
-    ym = s7.space.coerce_m(y, allow_zero=True)
-    a_mat, b_vec = assemble_system(metric, ym)
-    full = np.column_stack([a_mat, b_vec])
-    dev = float(np.abs(full[4]).max())
-    scale = np.array([c[0]] * 4 + [c[2]] * 2)
-    scaled = full[[0, 1, 2, 3, 5, 6]] / scale[:, None]
-    return max(dev, float(np.abs(scaled - extended_matrix(ym, c)).max()))
+    ym = build_s7_space().space.coerce_m(y)
+    return float(_extended_deviations(ym[None], _positive_triple(c)[None])[0])
+
+
+def _draw_y_c(seed: int, n_samples: int):
+    """Per sample, a standard normal 7-vector and then a weight triple
+    uniform in [0.25, 4]; one array of rows for each."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(7), rng.uniform(0.25, 4.0, size=3))
+             for _ in range(n_samples)]
+    return tuple(map(np.array, zip(*draws)))
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over random base vectors and weights."""
-    rng = np.random.default_rng(seed)
-    worst, worst_y, worst_c = -1.0, None, None
-    for _ in range(n_samples):
-        y = rng.standard_normal(7)
-        c = rng.uniform(0.25, 4.0, size=3)
-        dev = extended_matrix_deviation(y, c)
-        if dev > worst:
-            worst, worst_y, worst_c = dev, y, c
+    y, c = _draw_y_c(seed, n_samples)
+    dev = _extended_deviations(y, c)
+    i = int(np.argmax(dev))
     return {
-        "passed": worst <= tol,
-        "worst": worst,
+        "passed": bool(dev[i] <= tol),
+        "worst": float(dev[i]),
         "tol": tol,
-        "witness_y": [float(v) for v in worst_y],
-        "witness_c": [float(v) for v in worst_c],
+        "witness_y": [float(v) for v in y[i]],
+        "witness_c": [float(v) for v in c[i]],
     }
 
 
@@ -345,25 +363,19 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
     metric = FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]))
     rng = np.random.default_rng(seed)
-    gram = s7.space.alpha_gram()
-    worst = -1.0
-    witness = None
-    for _ in range(n_samples):
-        v = rng.standard_normal(7)
-        ym = v / np.sqrt(v @ gram @ v)
-        h = rng.standard_normal(4)
-        t = float(rng.uniform(-1.0, 1.0))
-        chk = check_equivariance(metric, ym, h, t)
-        if chk.deviation > worst:
-            worst = chk.deviation
-            witness = (ym, h, t)
+    draws = [(rng.standard_normal(7), rng.standard_normal(4),
+              rng.uniform(-1.0, 1.0)) for _ in range(n_samples)]
+    v, h, t = map(np.array, zip(*draws))
+    y = v / s7.space.alpha_norm(v)[:, None]
+    dev = check_equivariance_batch(metric, y, h, t).deviation
+    i = int(np.argmax(dev))
     return {
-        "passed": worst <= tol,
-        "worst": worst,
+        "passed": bool(dev[i] <= tol),
+        "worst": float(dev[i]),
         "tol": tol,
-        "witness_y": [float(v) for v in witness[0]],
-        "witness_h": [float(v) for v in witness[1]],
-        "witness_t": witness[2],
+        "witness_y": [float(x) for x in y[i]],
+        "witness_h": [float(x) for x in h[i]],
+        "witness_t": float(t[i]),
     }
 
 
@@ -410,38 +422,26 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    s7 = build_s7_space()
-    space = s7.space
-    rng = np.random.default_rng(seed)
-    gram = space.alpha_gram()
-
-    max_res, worst_res_y, worst_res_c = -1.0, None, None
-    max_mis, worst_mis_y, worst_mis_c = -1.0, None, None
-    n_unique = 0
-    for _ in range(n_samples):
-        v = rng.standard_normal(7)
-        ym = v / np.sqrt(v @ gram @ v)
-        c = rng.uniform(0.25, 4.0, size=3)
-        metric = riemannian_metric(space, c)
-        xi = closed_form_xi(ym, c)
-        res = float(np.abs(geodesic_residual(metric, ym, xi)).max())
-        if res > max_res:
-            max_res, worst_res_y, worst_res_c = res, ym, c
-        sol = solve_geodesic_graph(metric, ym)
-        if sol.unique:
-            n_unique += 1
-            mis = float(np.abs(sol.xi - xi).max())
-            if mis > max_mis:
-                max_mis, worst_mis_y, worst_mis_c = mis, ym, c
-
+    space = build_s7_space().space
+    v, c = _draw_y_c(seed, n_samples)
+    y = v / space.alpha_norm(v)[:, None]
+    # riemannian_metric(space, c).c_coefficients(y) == c exactly, so the
+    # weights go straight into the batched criterion
+    xi = closed_form_xi(y, c)[:, space.h_indices]
+    residual = np.abs(criterion_residuals(space, y, c, xi)).max(axis=1)
+    sol = solve_batch(space, y, c)
+    mismatch = np.where(sol.unique, np.abs(sol.xi - xi).max(axis=1), -1.0)
+    i_res = int(np.argmax(residual))
+    i_mis = int(np.argmax(mismatch))
+    found = bool(sol.unique[i_mis])
     return ClosedFormReport(
         n_samples=n_samples,
         tol=tol,
-        max_residual=max_res,
-        worst_residual_y=worst_res_y,
-        worst_residual_c=worst_res_c,
-        max_mismatch=max(max_mis, 0.0),
-        worst_mismatch_y=worst_mis_y if worst_mis_y is not None else np.zeros(7),
-        worst_mismatch_c=worst_mis_c if worst_mis_c is not None else np.ones(3),
-        n_unique=n_unique,
+        max_residual=float(residual[i_res]),
+        worst_residual_y=y[i_res],
+        worst_residual_c=c[i_res],
+        max_mismatch=max(float(mismatch[i_mis]), 0.0),
+        worst_mismatch_y=y[i_mis] if found else np.zeros(7),
+        worst_mismatch_c=c[i_mis] if found else np.ones(3),
+        n_unique=int(sol.unique.sum()),
     )
