@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .finsler_metric import (FinslerMetric, l_function_from_spec, validate_l)
+from .finsler_metric import (L_CONDITIONS, FinslerMetric, l_function_from_spec,
+                             validate_l)
 from .geodesic import (float_repr, go_property_scan, orbit_curve,
                        solve_geodesic_graph)
 from .homogeneous_space import MetricFamily, load_space_document
@@ -144,24 +145,24 @@ def cmd_validate_l(cfg: RunConfig) -> int:
         doc = {
             "kind": lf.kind,
             "conditions": [
-                {"key": c.key, "description": c.description,
+                {"key": c.name, "description": L_CONDITIONS[c.name],
                  "passed": c.passed, "worst": c.worst,
                  "witness": list(c.witness)}
-                for c in report.conditions
+                for c in report.checks
             ],
-            "passed": report.all_passed,
+            "passed": report.passed,
         }
         _emit(json.dumps(doc, indent=2), cfg.out)
     else:
         lines = []
-        for c in report.conditions:
+        for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
-            lines.append(f"({c.key}) {c.description}: {status} "
+            lines.append(f"({c.name}) {L_CONDITIONS[c.name]}: {status} "
                          f"(worst {c.worst:.6e})")
-        lines.append("all conditions passed" if report.all_passed
+        lines.append("all conditions passed" if report.passed
                      else "some conditions FAILED")
         _emit("\n".join(lines), cfg.out)
-    return EXIT_OK if report.all_passed else EXIT_MATH_FAIL
+    return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
 def cmd_graph(cfg: RunConfig) -> int:

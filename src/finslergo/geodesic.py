@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .finsler_metric import FinslerMetric
-from .lie_algebra import Vector, matrix_exponential
+from .lie_algebra import Check, Vector, matrix_exponential
 
 RANK_RCOND = 1e-10
 GEODESIC_VECTOR_TOL = 1e-9
@@ -225,20 +225,14 @@ def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     )
 
 
-@dataclass(frozen=True)
-class GeodesicVectorCheck:
-    is_geodesic: bool
-    residual_max: float
-    scale: float
-    tol: float
-
-
-def is_geodesic_vector(metric: FinslerMetric, w) -> GeodesicVectorCheck:
+def is_geodesic_vector(metric: FinslerMetric, w) -> Check:
     """Test the criterion for a full algebra vector w with nonzero m-part.
 
     The tolerance is relative: the criterion is quadratic in y, so the
     residual is compared against F(y_m)^2 times the largest structure
-    constant magnitude.
+    constant magnitude.  The ``geodesic_vector`` check holds the max-abs
+    residual as ``worst``, and ``GEODESIC_VECTOR_TOL`` times that scale as
+    ``tol``.
     """
     space = metric.space
     w = space.alg.vector(w)
@@ -249,12 +243,8 @@ def is_geodesic_vector(metric: FinslerMetric, w) -> GeodesicVectorCheck:
     residual_max = float(np.abs(residual).max(initial=0.0))
     scale = (metric.f_value(ym) ** 2
              * float(np.abs(space.alg.structure).max(initial=0.0)))
-    return GeodesicVectorCheck(
-        is_geodesic=bool(residual_max <= GEODESIC_VECTOR_TOL * scale),
-        residual_max=residual_max,
-        scale=scale,
-        tol=GEODESIC_VECTOR_TOL,
-    )
+    tol = GEODESIC_VECTOR_TOL * scale
+    return Check("geodesic_vector", residual_max <= tol, residual_max, tol)
 
 
 @dataclass(frozen=True)

@@ -13,37 +13,13 @@ concatenation of the blocks, so every family Gram matrix is block diagonal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lie_algebra import LieAlgebra, Vector
+from .lie_algebra import Check, LieAlgebra, Report, Vector
 
 STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    worst: float
-    tol: float
-
-
-@dataclass(frozen=True)
-class SpaceValidationReport:
-    checks: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __getitem__(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 class ReductiveSpace:
@@ -255,57 +231,37 @@ class ReductiveSpace:
 
     # -- validation -------------------------------------------------------------
 
-    def validate(self) -> SpaceValidationReport:
+    def validate(self) -> Report:
         """Run all numeric invariants and report per-check worst violations.
 
         Tolerances are fixed: 1e-12 for the structural bracket conditions,
         1e-10 for the metric-invariance condition.
         """
-        tol_structural = STRUCTURAL_TOL
-        tol_invariance = INVARIANCE_TOL
-        checks = []
-
-        # [h, h] stays in h
-        worst = 0.0
-        for i in self.h_indices:
-            for j in self.h_indices:
-                br = self.alg.structure[i, j]
-                if self.dim_m:
-                    worst = max(worst, float(np.abs(br[self.m_indices]).max()))
-        checks.append(CheckResult("subalgebra", worst <= tol_structural,
-                                  worst, tol_structural))
-
-        # [h, m] stays in m
-        worst = 0.0
-        for i in self.h_indices:
-            for j in self.m_indices:
-                br = self.alg.structure[i, j]
-                if self.dim_h:
-                    worst = max(worst, float(np.abs(br[self.h_indices]).max()))
-        checks.append(CheckResult("reductivity", worst <= tol_structural,
-                                  worst, tol_structural))
-
-        worst = max((float(np.abs(a - a.T).max()) for a in self.alpha),
-                    default=0.0)
-        checks.append(CheckResult("alpha_symmetry", worst <= tol_structural,
-                                  worst, tol_structural))
-
+        c, h, m = self.alg.structure, self.h_indices, self.m_indices
+        gram = self._gram
+        # alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v) = 0 within each block,
+        # with ad(e_n) on m the transpose of c_hmm[n]
+        moved = self.c_hmm @ gram + gram @ self.c_hmm.transpose(0, 2, 1)
+        in_block = np.equal.outer(self._block_of, self._block_of)
+        worst = {
+            "subalgebra": np.abs(c[np.ix_(h, h, m)]).max(initial=0.0),
+            "reductivity": np.abs(c[np.ix_(h, m, h)]).max(initial=0.0),
+            "alpha_symmetry": np.abs(gram - gram.T).max(initial=0.0),
+            "invariance": np.abs(moved[:, in_block]).max(initial=0.0),
+        }
         min_eig = min((float(np.linalg.eigvalsh(a).min()) for a in self.alpha),
                       default=np.inf)
-        checks.append(CheckResult("alpha_positive_definite", min_eig > 0.0,
-                                  min_eig, 0.0))
 
-        # alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v) = 0 within each block
-        worst = 0.0
-        for i in self.h_indices:
-            ad = self.alg.ad_operator(self.alg.basis_vector(int(i)))
-            for a, blk in zip(self.alpha, self.blocks):
-                sub = ad[np.ix_(blk, blk)]
-                worst = max(worst, float(np.abs(sub.T @ a + a @ sub).max()))
-        checks.append(CheckResult("invariance", worst <= tol_invariance,
-                                  worst, tol_invariance))
+        def bounded(name, tol):
+            return Check(name, bool(worst[name] <= tol), float(worst[name]), tol)
 
-        return SpaceValidationReport(checks=tuple(checks))
+        return Report((
+            bounded("subalgebra", STRUCTURAL_TOL),
+            bounded("reductivity", STRUCTURAL_TOL),
+            bounded("alpha_symmetry", STRUCTURAL_TOL),
+            Check("alpha_positive_definite", min_eig > 0.0, min_eig, 0.0),
+            bounded("invariance", INVARIANCE_TOL),
+        ))
 
     # -- serialization -----------------------------------------------------------
 
@@ -389,8 +345,15 @@ class MetricFamily:
 
 
 def load_space_document(doc: dict):
-    """Read a combined space document; returns (space, family or None)."""
+    """Read a combined space document; returns (space, family or None).
+
+    The space must pass :meth:`ReductiveSpace.validate`; a ``ValueError``
+    names the checks it fails.
+    """
     space = ReductiveSpace.from_json_dict(doc)
+    failed = space.validate().failed()
+    if failed:
+        raise ValueError(f"space document fails checks {failed}")
     family = None
     if "family_a" in doc:
         family = MetricFamily(space, np.array(doc["family_a"], dtype=float))

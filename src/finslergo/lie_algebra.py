@@ -4,7 +4,9 @@ A :class:`LieAlgebra` stores the rank-3 array ``c`` with
 ``[e_i, e_j] = sum_k c[i, j, k] e_k`` over a named basis.  Brackets are
 supplied for pairs ``i < j`` only; the antisymmetric completion is automatic,
 so antisymmetry of ``c`` is exact by construction.  Vectors are plain 1-D
-float arrays of coordinates in the declared basis order.
+float arrays of coordinates in the declared basis order.  The
+:class:`Check` and :class:`Report` records that every validator returns are
+defined here, in the module all others import.
 """
 
 from __future__ import annotations
@@ -17,6 +19,39 @@ import numpy as np
 Vector = np.ndarray
 
 JACOBI_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named check: the worst value met, the tolerance it was held to,
+    and the input where that value occurred (empty when there is none)."""
+
+    name: str
+    passed: bool
+    worst: float
+    tol: float
+    witness: tuple = ()
+
+
+@dataclass(frozen=True)
+class Report:
+    """Named checks in a fixed order; passes when every check passes."""
+
+    checks: tuple
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def __getitem__(self, name: str) -> Check:
+        for c in self.checks:
+            if c.name == name:
+                return c
+        raise KeyError(name)
+
+    def failed(self) -> list:
+        """Names of the checks that did not pass, in order."""
+        return [c.name for c in self.checks if not c.passed]
 
 
 @dataclass(frozen=True)

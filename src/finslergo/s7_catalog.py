@@ -177,10 +177,9 @@ def build_s7_space() -> S7Space:
         h=list(H_LABELS),
         blocks=[["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]],
     )
-    report = space.validate()
-    if not report.passed:
-        bad = [c.name for c in report.checks if not c.passed]
-        raise RuntimeError(f"reductive-space checks failed: {bad}")
+    failed = space.validate().failed()
+    if failed:
+        raise RuntimeError(f"reductive-space checks failed: {failed}")
 
     # 8 x 8 real realization; the extra u(1) direction realizes W as the
     # Z1 matrix shifted by -i * identity so that it annihilates the base point
@@ -353,6 +352,14 @@ def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     }
 
 
+@lru_cache(maxsize=1)
+def _equivariance_metric() -> FinslerMetric:
+    """The sq_sum:1,3 metric of the equivariance sweep, validated once."""
+    family = MetricFamily(build_s7_space().space,
+                          [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    return FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]))
+
+
 def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst transport deviation of the solved graph over random triples.
 
@@ -360,8 +367,7 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     the base vector.
     """
     s7 = build_s7_space()
-    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
-    metric = FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]))
+    metric = _equivariance_metric()
     rng = np.random.default_rng(seed)
     draws = [(rng.standard_normal(7), rng.standard_normal(4),
               rng.uniform(-1.0, 1.0)) for _ in range(n_samples)]
@@ -396,20 +402,6 @@ class ClosedFormReport:
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tol and self.max_mismatch <= self.tol
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "tol": self.tol,
-            "max_residual": self.max_residual,
-            "worst_residual_y": [float(v) for v in self.worst_residual_y],
-            "worst_residual_c": [float(v) for v in self.worst_residual_c],
-            "max_mismatch": self.max_mismatch,
-            "worst_mismatch_y": [float(v) for v in self.worst_mismatch_y],
-            "worst_mismatch_c": [float(v) for v in self.worst_mismatch_c],
-            "n_unique": self.n_unique,
-            "passed": self.passed,
-        }
 
 
 def verify_closed_form(n_samples: int = 1000, seed: int = 0,

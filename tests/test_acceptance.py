@@ -159,11 +159,11 @@ def test_criterion_8_combiner_validation():
     """Both degree-2 built-ins pass all five conditions on 1000 orthant
     samples; the literal degree-1 sum fails exactly homogeneity."""
     ok = validate_l(LFunction.sum_of_squares([1.0, 1.0]),
-                    sample_count=1000, seed=241).all_passed
+                    sample_count=1000, seed=241).passed
     ok &= validate_l(LFunction.squared_sum([1.0, 1.0]),
-                     sample_count=1000, seed=251).all_passed
+                     sample_count=1000, seed=251).passed
     failed = validate_l(degree_one_sum([1.0, 1.0]),
-                        sample_count=1000, seed=257).failed_keys()
+                        sample_count=1000, seed=257).failed()
     report(8, ok and failed == ["ii"],
            f"builtins pass: {ok}, degree-1 failures: {failed}")
 

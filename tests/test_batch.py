@@ -4,6 +4,7 @@ checked where it arrives."""
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -205,12 +206,29 @@ def test_non_finite_graph_input_exits_2_without_lapack_noise(capfd):
     assert "finite" in err and "On entry to" not in out + err
 
 
-def test_overflowing_scale_raises_before_lapack(round_metric, capfd):
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(np.linalg.LinAlgError, match="not finite"):
-        solve_geodesic_graph(round_metric, np.full(7, 1e200))
+def test_overflowing_scale_raises_before_lapack(s7, round_metric, capfd):
+    metrics = [round_metric, *_s7_metrics(s7).values()]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for metric in metrics:
+            for y in (np.full(7, 1e200), np.full(7, 1e-200),
+                      [1e200, 1, 1, 1, 1, 1, 1], [1e-200, 0, 0, 0, 0, 0, 0]):
+                with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                    solve_geodesic_graph(metric, y)
+    assert [str(w.message) for w in caught] == []
     out, err = capfd.readouterr()
     assert "On entry to" not in out + err
+
+
+def test_overflowing_graph_input_prints_only_the_error():
+    src = os.path.dirname(os.path.dirname(finslergo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "finslergo", "graph",
+                           "--y=1e200,1,1,1,1,1,1"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_zero_rows_are_rejected_in_a_batch(s7):

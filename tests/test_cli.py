@@ -271,6 +271,18 @@ def test_loaded_space_runs_generic_pipeline(s7, tmp_path, capsys):
     assert_allclose(doc["xi"], expect, atol=1e-12)
 
 
+def test_space_document_breaking_invariance_exits_2(s7, tmp_path, capsys):
+    doc = s7.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
+    doc["alpha"][0] = [1.0, 0, 0, 0, 0, 2.0, 0, 0, 0, 0, 3.0, 0, 0, 0, 0, 4.0]
+    space_file = tmp_path / "bad.json"
+    space_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "graph", "--space", str(space_file),
+                         "--y", "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8")
+    assert code == 2
+    assert out == ""
+    assert "invariance" in err
+
+
 def test_missing_space_file(capsys):
     code, _, err = run(capsys, "graph", "--space", "/no/such/file.json",
                        "--y", "1,0,0,0,0,0,0")

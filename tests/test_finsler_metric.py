@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from finslergo import (FinslerMetric, LFunction, MetricFamily, degree_one_sum,
-                       l_function_from_spec, riemannian_metric, validate_l)
+from finslergo import (L_CONDITIONS, FinslerMetric, LFunction, MetricFamily,
+                       degree_one_sum, l_function_from_spec, riemannian_metric,
+                       validate_l)
 
 
 def fd_partials(lf, u, step=1e-6):
@@ -30,13 +31,13 @@ def two_metric(s7):
 def test_sum_of_squares_passes_all_conditions():
     report = validate_l(LFunction.sum_of_squares([1.0, 1.0]),
                         sample_count=200, seed=0)
-    assert report.all_passed
+    assert report.passed
 
 
 def test_squared_sum_passes_with_rank_one_hessian():
     lf = LFunction.squared_sum([1.0, 2.0])
     report = validate_l(lf, sample_count=200, seed=0)
-    assert report.all_passed
+    assert report.passed
     # Hessian is constant 2*w*w^T: [[2, 4], [4, 8]] with eigenvalues {0, 10}
     from finslergo.finsler_metric import _fd_hessian
     hess = _fd_hessian(lf, np.array([0.7, 1.3]))
@@ -46,7 +47,110 @@ def test_squared_sum_passes_with_rank_one_hessian():
 
 def test_degree_one_sum_fails_exactly_homogeneity():
     report = validate_l(degree_one_sum([1.0, 1.0]), sample_count=200, seed=0)
-    assert report.failed_keys() == ["ii"]
+    assert report.failed() == ["ii"]
+
+
+def documented_draws(k, n, seed):
+    """The samples of validate_l, then its boundary points: the first 16
+    samples, each with one coordinate, drawn after all samples, zeroed."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.05, 3.0, size=(n, k))
+    faces = points[:min(16, n) if k > 1 else 0].copy()
+    for u in faces:
+        u[rng.integers(k)] = 0.0
+    return points, faces
+
+
+@pytest.mark.parametrize("spec", ["sum_sq:1", "sum_sq:1,2,3", "sq_sum:1,3",
+                                  "sum:1,1"])
+@pytest.mark.parametrize("n", [1, 20, 64])
+def test_validate_l_witnesses_are_rows_of_the_draws(spec, n):
+    lf = l_function_from_spec(spec)
+    for seed in range(3):
+        points, faces = documented_draws(lf.arity, n, seed)
+        report = validate_l(lf, sample_count=n, seed=seed)
+        rows = [tuple(u) for u in points]
+        wit = {name: np.array(report[name].witness)
+               for name in ("i", "iii", "iv", "v")}
+        assert report["i"].witness in rows + [tuple(u) for u in faces]
+        assert lf.value(wit["i"]) == report["i"].worst
+        for name in ("iii", "iv", "v"):
+            assert report[name].witness in rows
+        assert lf.grad(wit["iii"]).min() == report["iii"].worst
+        assert lf.grad(wit["v"]).sum() == report["v"].worst
+        assert report["i"].worst == min(lf.value(np.concatenate([points,
+                                                                 faces])))
+        hom = report["ii"]
+        if hom.worst == 0.0:
+            assert hom.witness == ()
+        else:
+            assert hom.witness in rows
+
+
+def loop_validate(lf, n, seed):
+    """Per-sample reference loop: (worst, witness) of conditions i..v."""
+    points, faces = documented_draws(lf.arity, n, seed)
+    worst = {"i": (np.inf, ()), "ii": (0.0, ()), "iii": (np.inf, ()),
+             "iv": (np.inf, ()), "v": (np.inf, ())}
+
+    def lower(key, value, u):
+        if value < worst[key][0]:
+            worst[key] = (float(value), tuple(float(x) for x in u))
+
+    for u in points:
+        val = lf.value(u)
+        lower("i", val, u)
+        for t in (0.5, 2.0, 10.0):
+            dev = abs(lf.value(t * u) - t * t * val) / max(t * t * val, 1e-300)
+            lower("ii", -dev, u)
+        lower("iii", lf.grad(u).min(), u)
+        lower("v", lf.grad(u).sum(), u)
+        hess = np.empty((lf.arity, lf.arity))
+        for i in range(lf.arity):
+            up, um = u.copy(), u.copy()
+            up[i] += 1e-4
+            um[i] -= 1e-4
+            hess[:, i] = (lf.grad(up) - lf.grad(um)) / 2e-4
+        lower("iv", np.linalg.eigvalsh(0.5 * (hess + hess.T)).min(), u)
+    for u in faces:
+        lower("i", lf.value(u), u)
+    worst["ii"] = (-worst["ii"][0], worst["ii"][1])
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 17, 200])
+def test_validate_l_equals_the_per_sample_loop(n):
+    custom = LFunction.custom(lambda u: float(u @ u + u[0] * u[1]),
+                              lambda u: 2.0 * u + u[::-1], arity=2)
+    for lf in (LFunction.sum_of_squares([1.0]),
+               LFunction.sum_of_squares([1.0, 2.0, 3.0]),
+               LFunction.squared_sum([1.0, 3.0]), degree_one_sum([1.0, 1.0]),
+               custom):
+        for seed in range(3):
+            report = validate_l(lf, sample_count=n, seed=seed)
+            got = {c.name: (c.worst, c.witness) for c in report.checks}
+            assert got == loop_validate(lf, n, seed)
+
+
+def test_zero_deviation_condition_has_empty_witness():
+    # L(u) = u^2 at these two samples scales exactly by 0.25, 4 and 100
+    report = validate_l(LFunction.sum_of_squares([1.0]), sample_count=2,
+                        seed=0)
+    assert report.passed
+    assert report["ii"].worst == 0.0 and report["ii"].witness == ()
+    assert all(len(report[name].witness) == 1
+               for name in ("i", "iii", "iv", "v"))
+
+
+def test_validate_l_report_names_and_tolerances():
+    report = validate_l(degree_one_sum([1.0, 1.0]), sample_count=50, seed=3)
+    assert [c.name for c in report.checks] == ["i", "ii", "iii", "iv", "v"]
+    assert list(L_CONDITIONS) == ["i", "ii", "iii", "iv", "v"]
+    assert not report.passed and report.failed() == ["ii"]
+    assert report["ii"].tol == 1e-10 and report["iv"].tol == 1e-8
+    assert all(type(c.passed) is bool for c in report.checks)
+    with pytest.raises(KeyError):
+        report["vi"]
 
 
 def test_validate_l_rejects_zero_samples():
@@ -57,7 +161,7 @@ def test_validate_l_rejects_zero_samples():
 def test_custom_combiner_gradient_checked():
     good = LFunction.custom(lambda u: float(u[0] ** 2 + 2 * u[1] ** 2),
                             lambda u: np.array([2 * u[0], 4 * u[1]]), arity=2)
-    assert validate_l(good, sample_count=50, seed=1).all_passed
+    assert validate_l(good, sample_count=50, seed=1).passed
     with pytest.raises(ValueError, match="finite differences"):
         LFunction.custom(lambda u: float(u[0] ** 2),
                          lambda u: np.array([7.0]), arity=1)

@@ -144,14 +144,27 @@ def test_solved_vector_is_geodesic(s7, finsler):
     for y in unit_m_samples(s7.space, 20, seed=149):
         result = solve_geodesic_graph(finsler, y)
         check = is_geodesic_vector(finsler, result.y + result.xi)
-        assert check.is_geodesic
+        assert check.passed
 
 
 def test_offset_vector_is_not_geodesic(s7, finsler):
     for y in unit_m_samples(s7.space, 10, seed=151):
         result = solve_geodesic_graph(finsler, y)
         w = result.y + result.xi + s7.algebra.basis_vector("H1")
-        assert not is_geodesic_vector(finsler, w).is_geodesic
+        assert not is_geodesic_vector(finsler, w).passed
+
+
+def test_geodesic_vector_check_scales_its_tolerance(s7, finsler):
+    from finslergo.geodesic import GEODESIC_VECTOR_TOL
+    y = unit_m_samples(s7.space, 1, seed=152)[0] * 3.0
+    result = solve_geodesic_graph(finsler, y)
+    check = is_geodesic_vector(finsler, result.y + result.xi)
+    scale = finsler.f_value(y) ** 2 * np.abs(s7.algebra.structure).max()
+    assert check.name == "geodesic_vector" and check.witness == ()
+    assert check.tol == GEODESIC_VECTOR_TOL * scale
+    assert check.worst == np.abs(geodesic_residual(finsler, y,
+                                                   result.xi_h)).max()
+    assert check.passed is True
 
 
 def test_z1_with_w_multiple_is_geodesic(s7, round_metric):
@@ -159,7 +172,7 @@ def test_z1_with_w_multiple_is_geodesic(s7, round_metric):
     c = round_metric.c_coefficients(alg.basis_vector("Z1")[:7])
     k3 = k_coefficients(c).k3
     w = alg.basis_vector("Z1") + k3 * alg.basis_vector("W")
-    assert is_geodesic_vector(round_metric, w).is_geodesic
+    assert is_geodesic_vector(round_metric, w).passed
 
 
 def test_geodesic_vector_rejects_zero_m_part(s7, round_metric):
@@ -271,7 +284,7 @@ def test_non_geodesic_orbit_metric_is_reported_not_raised():
     report = go_property_scan(metric, 50, seed=19)
     assert report.max_residual > 0.1
     check = is_geodesic_vector(metric, y)
-    assert not check.is_geodesic
+    assert not check.passed
 
 
 def test_isotropic_metric_on_group_is_bi_invariant():

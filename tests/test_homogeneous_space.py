@@ -2,7 +2,26 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from finslergo import LieAlgebra, MetricFamily, ReductiveSpace, load_space_document
+from finslergo import (Check, LieAlgebra, MetricFamily, ReductiveSpace, Report,
+                       load_space_document)
+
+
+def loop_worst(space):
+    """Per-basis reference loops for the worst values of validate()."""
+    c, h, m = space.alg.structure, space.h_indices, space.m_indices
+    sub = max((np.abs(c[i, j, m]).max(initial=0.0) for i in h for j in h),
+              default=0.0)
+    red = max((np.abs(c[i, j, h]).max(initial=0.0) for i in h for j in m),
+              default=0.0)
+    inv = 0.0
+    for i in h:
+        ad = space.alg.ad_operator(space.alg.basis_vector(int(i)))
+        for a, blk in zip(space.alpha, space.blocks):
+            s = ad[np.ix_(blk, blk)]
+            inv = max(inv, np.abs(s.T @ a + a @ s).max())
+    sym = max(np.abs(a - a.T).max() for a in space.alpha)
+    return {"subalgebra": sub, "reductivity": red, "invariance": inv,
+            "alpha_symmetry": sym}
 
 
 def test_catalog_space_validates(s7):
@@ -40,6 +59,59 @@ def test_single_x_as_isotropy_fails_invariance(s7):
     assert report["subalgebra"].passed
     assert not report["invariance"].passed
     assert not report.passed
+
+
+def skewed_alpha(s7):
+    """The catalog split with alpha_1 = diag(1, 2, 3, 4): symmetric and
+    positive definite, but not invariant under the isotropy."""
+    return [np.diag([1.0, 2.0, 3.0, 4.0]), np.eye(1), np.eye(2)]
+
+
+def test_validate_worst_values_match_reference_loops(s7):
+    rest = ["X2", "X3", "X4", "Z1", "Z2", "Z3", "H1", "H2", "H3", "W"]
+    spaces = [
+        s7.space,
+        ReductiveSpace(s7.algebra, h=["X1"], blocks=[rest]),
+        ReductiveSpace(s7.algebra, h=["X1", "X2"], blocks=[rest[1:]]),
+        ReductiveSpace(s7.algebra, h=["H1", "H2", "H3", "W"],
+                       blocks=[["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]],
+                       alpha=skewed_alpha(s7)),
+        ReductiveSpace(s7.algebra, h=["H1", "H2", "H3", "W"],
+                       blocks=[["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]],
+                       alpha=[np.eye(4), [[2.0]], [[1.0, 0.5], [0.0, 1.0]]]),
+    ]
+    for space in spaces:
+        report = space.validate()
+        for name, worst in loop_worst(space).items():
+            assert_allclose(report[name].worst, worst, rtol=1e-12, atol=0.0)
+            assert report[name].passed == (worst <= report[name].tol)
+    assert [c.name for c in report.checks] == [
+        "subalgebra", "reductivity", "alpha_symmetry",
+        "alpha_positive_definite", "invariance"]
+    assert report.failed() == ["alpha_symmetry", "invariance"]
+
+
+def test_report_collects_named_checks():
+    report = Report((Check("a", True, 0.0, 1.0),
+                     Check("b", False, 2.0, 1.0, witness=(0.5,)),
+                     Check("c", False, -1.0, 0.0)))
+    assert not report.passed
+    assert report.failed() == ["b", "c"]
+    assert report["b"].witness == (0.5,) and report["a"].witness == ()
+    with pytest.raises(KeyError):
+        report["d"]
+    assert Report(()).passed and Report(()).failed() == []
+
+
+def test_load_space_document_validates(s7):
+    doc = s7.space.to_json_dict()
+    doc["alpha"][0] = [float(x) for x in np.diag([1.0, 2.0, 3.0, 4.0]).ravel()]
+    with pytest.raises(ValueError, match="invariance"):
+        load_space_document(doc)
+    doc["alpha"][0] = [float(x) for x in np.eye(4).ravel()]
+    doc["alpha"][2] = [1.0, 0.5, 0.0, 1.0]
+    with pytest.raises(ValueError, match="alpha_symmetry"):
+        load_space_document(doc)
 
 
 def test_partition_enforced(s7):

@@ -221,6 +221,24 @@ def test_closed_form_solves_finsler_systems_too(s7):
         assert np.abs(geodesic_residual(metric, y, xi)).max() < 1e-10
 
 
+def test_equivariance_sweep_validates_its_metric_once(monkeypatch):
+    from finslergo import finsler_metric, s7_catalog
+    calls = []
+    real = finsler_metric.validate_l
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(finsler_metric, "validate_l", counted)
+    s7_catalog._equivariance_metric.cache_clear()
+    first = s7_catalog.check_equivariance_sweep(20, 0, 1e-8)
+    for seed in (1, 2, 0):
+        last = s7_catalog.check_equivariance_sweep(20, seed, 1e-8)
+    assert len(calls) == 1
+    assert last == first
+
+
 # -- export round trip --------------------------------------------------------------------
 
 def test_catalog_exports_and_reloads(s7):
