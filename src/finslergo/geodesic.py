@@ -62,12 +62,26 @@ def _criterion(space, Y, Xi, weighted) -> np.ndarray:
     return (brackets @ weighted[..., None])[..., 0]
 
 
-def _system(space, Y, weighted):
-    """A[N, dim_m, dim_h] and b[N, dim_m]: the criterion is A xi - b."""
-    m, h = space.dim_m, space.dim_h
-    a_mat = space.c_hmm.reshape(-1, m) @ weighted[..., None]
-    a_mat = a_mat.reshape(len(Y), h, m)
-    return a_mat.transpose(0, 2, 1), -_criterion(space, Y, 0.0, weighted)
+def _system(space, Y, C):
+    """A[N, dim_m, dim_h] and b[N, dim_m]: the criterion is A xi - b.
+
+    p[n, k, a] = sum_i C_i alpha_i(y, [e_k, U_a]_m), isotropy e_k first, is
+    one product; A is its isotropy part and b its complement part times y.
+    """
+    n, h = len(Y), space.dim_h
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = (space.weighted_apply(Y, C)[:, None, :] @ space.c_system).reshape(
+            n, space.dim, space.dim_m)
+        b_vec = -(Y[:, None, :] @ p[:, h:])[:, 0]
+    _require_finite(p, b_vec)
+    return p[:, :h].transpose(0, 2, 1), b_vec
+
+
+def _require_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise np.linalg.LinAlgError(
+            "the criterion system is not finite: the squared norm of y "
+            "overflows or underflows")
 
 
 def _min_norm_solve(a_mat, b_vec):
@@ -80,10 +94,6 @@ def _min_norm_solve(a_mat, b_vec):
     n, m, h = a_mat.shape
     if h == 0:
         return np.zeros((n, 0)), np.zeros(n, dtype=int), np.zeros((n, 0))
-    if not (np.isfinite(a_mat).all() and np.isfinite(b_vec).all()):
-        raise np.linalg.LinAlgError(
-            "the criterion system is not finite: the squared norm of y "
-            "overflows or underflows")
     u, sigma, vt = np.linalg.svd(a_mat, full_matrices=False)
     kept = sigma > RANK_RCOND * sigma[:, :1]
     coef = (b_vec[:, None, :] @ u) / np.where(kept, sigma, np.inf)[:, None, :]
@@ -97,8 +107,9 @@ def _min_norm_solve(a_mat, b_vec):
 class GraphBatch:
     """Solved isotropy corrections, one row per base vector.
 
-    ``residual`` is the max-abs criterion residual from the bracket oracle;
-    ``sigma`` holds the singular values of each system, descending.
+    ``residual`` is max |A xi - b| of each row's system, which equals the
+    bracket oracle :func:`criterion_residuals` up to rounding; ``sigma``
+    holds the singular values of each system, descending.
     """
 
     y: np.ndarray
@@ -118,8 +129,7 @@ def assemble(space, Y, C):
     Row a, column c of A holds sum_i C_i alpha_i(y, [e_c, U_a]_m) over the
     isotropy basis e_c; b_a = -sum_i C_i alpha_i(y, [y, U_a]_m).
     """
-    Y, C = _rows(space, Y, C)
-    return _system(space, Y, space.weighted_apply(Y, C))
+    return _system(space, *_rows(space, Y, C))
 
 
 def criterion_residuals(space, Y, C, Xi) -> np.ndarray:
@@ -135,17 +145,20 @@ def solve_batch(space, Y, C) -> GraphBatch:
     """Minimal-norm least-squares solution at every row of Y.
 
     C holds the per-row block weights, e.g. ``metric.c_coefficients(Y)``.
-    The residual comes from the bracket oracle, not from A xi - b.  A
-    non-finite system raises ``numpy.linalg.LinAlgError``.
+    The residual is max |A xi - b| per row; :func:`criterion_residuals` is
+    the independent oracle.  A system, solution or residual that overflows
+    raises ``numpy.linalg.LinAlgError``, with no numpy warning.
     """
     return _solve(space, *_rows(space, Y, C))
 
 
 def _solve(space, Y, C) -> GraphBatch:
-    weighted = space.weighted_apply(Y, C)
-    xi, rank, sigma = _min_norm_solve(*_system(space, Y, weighted))
-    residual = np.abs(_criterion(space, Y, xi, weighted)).max(
-        axis=1, initial=0.0)
+    a_mat, b_vec = _system(space, Y, C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi, rank, sigma = _min_norm_solve(a_mat, b_vec)
+        residual = np.abs((a_mat @ xi[..., None])[..., 0] - b_vec).max(
+            axis=1, initial=0.0)
+    _require_finite(residual)
     return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, sigma=sigma)
 
 
@@ -195,10 +208,10 @@ def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
 def assemble_system(metric: FinslerMetric, y):
     """Matrix and right-hand side of the criterion at one base vector.
 
-    By construction ``geodesic_residual(metric, y, xi) == A @ xi - b``.
+    ``geodesic_residual(metric, y, xi)`` equals ``A @ xi - b`` up to
+    rounding.
     """
-    ym, c = _one(metric, y)
-    a_mat, b_vec = _system(metric.space, ym, metric.space.weighted_apply(ym, c))
+    a_mat, b_vec = _system(metric.space, *_one(metric, y))
     return a_mat[0], b_vec[0]
 
 
@@ -397,5 +410,4 @@ def orbit_curve(realization: MatrixRealization, w, t_values) -> np.ndarray:
     """Points exp(t * rho(w)) applied to the base point, one row per t."""
     gen = realization.generator(w)
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
-    return np.stack([matrix_exponential(gen, t) @ realization.base_point
-                     for t in t_values])
+    return matrix_exponential(gen, t_values) @ realization.base_point

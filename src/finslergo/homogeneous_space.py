@@ -68,8 +68,9 @@ class ReductiveSpace:
             off += len(blk)
 
         # Per-space tensors of the batched criterion: block i's Gram placed
-        # in its m-slice, the block of each m-coordinate, and the structure
-        # constants c[i, a, k] of [e_i, U_a]_m for i in h and for all i.
+        # in its m-slice, the block of each m-coordinate, the structure
+        # constants c[i, a, k] of [e_i, U_a]_m for i in h and for all i, and
+        # c[h + m, m, m] as one matrix, which gives A and b in one product.
         m, h = self.m_indices, self.h_indices
         self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
         for grams, a, sl in zip(self.block_grams, alpha, self._block_slices):
@@ -82,6 +83,8 @@ class ReductiveSpace:
         c = alg.structure
         self.c_hmm = c[np.ix_(h, m, m)]
         self.c_gmm = c[:, m][:, :, m]
+        self.c_system = c[np.ix_(np.concatenate([h, m]), m, m)].transpose(
+            2, 0, 1).reshape(self.dim_m, self.dim * self.dim_m)
 
     # -- shape helpers -------------------------------------------------------
 
@@ -120,9 +123,6 @@ class ReductiveSpace:
         v = self.alg.vector(v).copy()
         v[self.m_indices] = 0.0
         return v
-
-    def m_coords(self, v) -> Vector:
-        return self.alg.vector(v)[self.m_indices]
 
     def h_coords(self, v) -> Vector:
         return self.alg.vector(v)[self.h_indices]
@@ -329,16 +329,15 @@ class MetricFamily:
         return self.space.weighted_alpha_gram(self.a[self._check_j(j)])
 
     def evaluate(self, j: int, u, v) -> float:
-        """g_j(u, v) for vectors given in full or m-coordinates."""
-        um = self._as_m(u)
-        vm = self._as_m(v)
-        return float(um @ self.gram(j) @ vm)
+        """g_j(u, v) for vectors given in full or m-coordinates.
 
-    def _as_m(self, v) -> Vector:
-        v = np.asarray(v, dtype=float)
-        if v.shape == (self.space.dim_m,):
-            return v
-        return self.space.m_coords(self.space.alg.vector(v))
+        Input is checked as :meth:`ReductiveSpace.coerce_m` checks it: full
+        vectors must have zero isotropy components, and entries be finite.
+        """
+        if np.ndim(u) != 1 or np.ndim(v) != 1:
+            raise ValueError("expected two vectors")
+        um, vm = (self.space.coerce_m(w, allow_zero=True) for w in (u, v))
+        return float(um @ self.gram(j) @ vm)
 
     def __repr__(self) -> str:
         return f"MetricFamily(k={self.k}, s={self.space.n_blocks})"

@@ -333,9 +333,11 @@ def _draw_y_c(seed: int, n_samples: int):
     """Per sample, a standard normal 7-vector and then a weight triple
     uniform in [0.25, 4]; one array of rows for each."""
     rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(7), rng.uniform(0.25, 4.0, size=3))
-             for _ in range(n_samples)]
-    return tuple(map(np.array, zip(*draws)))
+    y, r = (np.empty((n_samples, k)) for k in (7, 3))
+    for i in range(n_samples):
+        rng.standard_normal(out=y[i])
+        rng.random(out=r[i])
+    return y, 0.25 + 3.75 * r  # as Generator.uniform(0.25, 4.0) maps r
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
@@ -366,13 +368,15 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     Uses a genuinely two-metric combiner so the induced weights vary with
     the base vector.
     """
-    s7 = build_s7_space()
     metric = _equivariance_metric()
     rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(7), rng.standard_normal(4),
-              rng.uniform(-1.0, 1.0)) for _ in range(n_samples)]
-    v, h, t = map(np.array, zip(*draws))
-    y = v / s7.space.alpha_norm(v)[:, None]
+    v, h, r = (np.empty((n_samples, k)) for k in (7, 4, 1))
+    for i in range(n_samples):  # per sample: y, then h, then t
+        rng.standard_normal(out=v[i])
+        rng.standard_normal(out=h[i])
+        rng.random(out=r[i])
+    t = -1.0 + 2.0 * r[:, 0]  # as Generator.uniform(-1.0, 1.0) maps r
+    y = v / metric.space.alpha_norm(v)[:, None]
     dev = check_equivariance_batch(metric, y, h, t).deviation
     i = int(np.argmax(dev))
     return {

@@ -220,6 +220,30 @@ def test_overflowing_scale_raises_before_lapack(s7, round_metric, capfd):
     assert "On entry to" not in out + err
 
 
+def test_overflowing_system_raises_without_a_warning(s7):
+    # finite norms and weights, but the products of the system overflow
+    metric = _s7_metrics(s7)["sq_sum"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            solve_geodesic_graph(metric, np.full(7, 1e153))
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            solve_batch(s7.space, np.full((3, 7), 1e200), np.ones((3, 3)))
+    assert [str(w.message) for w in caught] == []
+
+
+def test_solver_residual_matches_the_bracket_oracle(s7):
+    rng = np.random.default_rng(331)
+    for metric in _s7_metrics(s7).values():
+        y = _rows(rng, 60, 7, np.arange(60) % 5 == 0)
+        c = metric.c_coefficients(y)
+        batch = solve_batch(s7.space, y, c)
+        oracle = np.abs(criterion_residuals(s7.space, y, c, batch.xi)).max(
+            axis=1)
+        bound = 1e-12 * np.einsum("ij,ij->i", y, y)
+        assert np.all(np.abs(batch.residual - oracle) <= bound)
+
+
 def test_overflowing_graph_input_prints_only_the_error():
     src = os.path.dirname(os.path.dirname(finslergo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -241,9 +265,14 @@ def test_zero_rows_are_rejected_in_a_batch(s7):
 # -- import cost --------------------------------------------------------------------
 
 def test_import_leaves_scipy_unloaded():
-    code = "import sys, finslergo; print('scipy' in sys.modules)"
+    code = """import contextlib, io, sys, finslergo
+from finslergo.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["verify-s7", "--samples", "50"]),
+             main(["orbit", "--y=1,0,0,0,0.5,0,0", "--steps", "20"])]
+print(codes, 'scipy' in sys.modules)"""
     src = os.path.dirname(os.path.dirname(finslergo.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[0, 0] False"

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, assemble_system, check_equivariance,
                        closed_form_xi, geodesic_residual, go_property_scan,
-                       is_geodesic_vector, k_coefficients, orbit_curve,
-                       riemannian_metric, solve_geodesic_graph)
+                       is_geodesic_vector, k_coefficients, matrix_exponential,
+                       orbit_curve, riemannian_metric, solve_geodesic_graph)
 from conftest import unit_m_samples
 
 
@@ -338,6 +338,16 @@ def test_orbit_unit_x_vector_has_period_two_pi(s7, round_metric):
     assert_allclose(result.xi, 0.0, atol=0.0)
     pts = orbit_curve(s7.realization, result.y, [2.0 * np.pi])
     assert np.abs(pts[0] - s7.realization.base_point).max() < 1e-9
+
+
+def test_orbit_equals_the_per_t_stack_bit_for_bit(s7, finsler):
+    result = solve_geodesic_graph(finsler, unit_m_samples(s7.space, 1, 173)[0])
+    w = result.y + result.xi
+    t_values = np.linspace(0.0, 2.0 * np.pi, 50)
+    gen = s7.realization.generator(w)
+    expect = np.stack([matrix_exponential(gen, t) @ s7.realization.base_point
+                       for t in t_values])
+    assert np.array_equal(orbit_curve(s7.realization, w, t_values), expect)
 
 
 def test_orbit_rejects_wrong_length(s7):

@@ -221,6 +221,16 @@ def test_evaluate_cross_block_zero(s7):
     assert family.evaluate(0, x1, z1) == 0.0
 
 
+def test_evaluate_rejects_isotropy_parts_and_non_finite_input(s7):
+    family = MetricFamily(s7.space, [[1.0, 2.0, 0.5]])
+    y = s7.algebra.basis_vector("X1")
+    with pytest.raises(ValueError, match="isotropy"):
+        family.evaluate(0, y + s7.algebra.basis_vector("H1"), y)
+    with pytest.raises(ValueError, match="finite"):
+        family.evaluate(0, y, [np.nan] * 7)
+    assert family.evaluate(0, y, np.zeros(7)) == 0.0
+
+
 def test_evaluate_weighted_example(s7):
     family = MetricFamily(s7.space, [[2.0, 3.0, 5.0]])
     alg = s7.algebra

@@ -155,6 +155,44 @@ def test_jacobi_rejects_bad_tol(so3):
 
 def test_expm_zero_is_identity():
     assert_allclose(matrix_exponential(np.zeros((4, 4))), np.eye(4), atol=0.0)
+    m = np.random.default_rng(3).standard_normal((5, 6, 6))
+    zero = matrix_exponential(m, np.zeros(5))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(6), (5, 6, 6)))
+
+
+def _s7_ad_stack(s7, n, seed):
+    """ad(h) of n random isotropy vectors and n times in [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    h = s7.space.embed_h(rng.standard_normal((n, 4)))
+    return (np.einsum("ni,ijk->nkj", h, s7.algebra.structure),
+            rng.uniform(-1.0, 1.0, n))
+
+
+def test_expm_stack_equals_single_calls_bit_for_bit(s7):
+    ad, t = _s7_ad_stack(s7, 40, seed=11)
+    ad[::5] *= 50.0  # squaring counts differ within the stack
+    stack = matrix_exponential(ad, t)
+    for i in range(40):
+        assert np.array_equal(stack[i], matrix_exponential(ad[i], t[i]))
+
+
+def test_expm_matches_scipy_on_s7_adjoints(s7):
+    linalg = pytest.importorskip("scipy.linalg")
+    ad, t = _s7_ad_stack(s7, 100, seed=13)
+    expect = linalg.expm(t[:, None, None] * ad)
+    assert np.abs(matrix_exponential(ad, t) - expect).max() <= 1e-13
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-2, 0.1, 1.0, 5.0, 20.0, 100.0])
+def test_expm_matches_scipy_on_random_matrices(norm):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(int(norm * 1000))
+    for _ in range(10):
+        m = rng.standard_normal((6, 6))
+        m *= norm / np.abs(m).sum(axis=0).max()
+        expect = linalg.expm(m)
+        err = np.abs(matrix_exponential(m) - expect).max()
+        assert err <= 1e-11 * np.abs(expect).max()
 
 
 def test_expm_rotation_generator():

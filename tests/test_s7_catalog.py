@@ -239,6 +239,55 @@ def test_equivariance_sweep_validates_its_metric_once(monkeypatch):
     assert last == first
 
 
+# -- the documented draws ---------------------------------------------------------------
+
+def _reference_y_c(seed, n):
+    """Per sample: a base vector, then a weight triple."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(7), rng.uniform(0.25, 4.0, size=3))
+             for _ in range(n)]
+    return tuple(map(np.array, zip(*draws)))
+
+
+def _reference_v_h_t(seed, n):
+    """Per sample: a base vector, an isotropy vector, then a time."""
+    rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(7), rng.standard_normal(4),
+              rng.uniform(-1.0, 1.0)) for _ in range(n)]
+    return tuple(map(np.array, zip(*draws)))
+
+
+def test_draws_equal_the_per_sample_loops(s7, monkeypatch):
+    from finslergo import s7_catalog
+    seen = []
+
+    def record(metric, y, h, t):
+        seen.append((y, h, t))
+        return real(metric, y, h, t)
+
+    real = s7_catalog.check_equivariance_batch
+    monkeypatch.setattr(s7_catalog, "check_equivariance_batch", record)
+    for seed in range(100):
+        s7_catalog.check_equivariance_sweep(20, seed, 1e-8)
+        v, h, t = _reference_v_h_t(seed, 20)
+        y = v / s7.space.alpha_norm(v)[:, None]
+        for got, expect in [*zip(s7_catalog._draw_y_c(seed, 50),
+                                 _reference_y_c(seed, 50)),
+                            *zip(seen[-1], (y, h, t))]:
+            assert got.shape == expect.shape
+            assert np.array_equal(got, expect)
+
+
+def test_equivariance_witness_is_a_row_of_the_documented_draws(s7):
+    from finslergo import s7_catalog
+    v, h, t = _reference_v_h_t(31, 60)
+    out = s7_catalog.check_equivariance_sweep(60, 31, 1e-8)
+    y = v / s7.space.alpha_norm(v)[:, None]
+    i = np.flatnonzero((h == out["witness_h"]).all(axis=1))
+    assert len(i) == 1 and t[i[0]] == out["witness_t"]
+    assert np.array_equal(out["witness_y"], y[i[0]])
+
+
 # -- export round trip --------------------------------------------------------------------
 
 def test_catalog_exports_and_reloads(s7):
