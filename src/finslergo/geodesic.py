@@ -10,14 +10,16 @@ A(y) xi = b(y).  :func:`assemble`, :func:`solve_batch` and
 :func:`criterion_residuals` work on a batch of base vectors ``Y[N, dim_m]``
 with per-row block weights ``C[N, s]``; the one-vector entry points are
 batches of one.  The solver returns the minimal-norm least-squares solution
-together with rank, singular values and uniqueness diagnostics.  Sampling
-utilities verify the geodesic-orbit property and the equivariance of the
-solved map over random draws.
+together with rank and uniqueness diagnostics, by QR where full rank is
+certified and by SVD elsewhere.  Sampling utilities verify the
+geodesic-orbit property and the equivariance of the solved map over random
+draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,6 +51,8 @@ def _rows(space, Y, C):
         raise ValueError(
             f"expected Y[N, {space.dim_m}] and C[N, {space.n_blocks}], got "
             f"{Y.shape} and {C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("block weights C must be finite")
     return Y, C
 
 
@@ -67,13 +71,12 @@ def _system(space, Y, C):
 
     p[n, k, a] = sum_i C_i alpha_i(y, [e_k, U_a]_m), isotropy e_k first, is
     one product; A is its isotropy part and b its complement part times y.
+    Callers run it under ``np.errstate`` and check that it is finite.
     """
     n, h = len(Y), space.dim_h
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = (space.weighted_apply(Y, C)[:, None, :] @ space.c_system).reshape(
-            n, space.dim, space.dim_m)
-        b_vec = -(Y[:, None, :] @ p[:, h:])[:, 0]
-    _require_finite(p, b_vec)
+    p = (space.weighted_apply(Y, C)[:, None, :] @ space.c_system).reshape(
+        n, space.dim, space.dim_m)
+    b_vec = -(Y[:, None, :] @ p[:, h:])[:, 0]
     return p[:, :h].transpose(0, 2, 1), b_vec
 
 
@@ -84,23 +87,53 @@ def _require_finite(*arrays):
             "overflows or underflows")
 
 
-def _min_norm_solve(a_mat, b_vec):
-    """Minimal-norm least squares by stacked SVD.
+@lru_cache(maxsize=None)
+def _upper(h):
+    return np.triu(np.ones((h, h), dtype=bool))
 
-    Singular values at or below RANK_RCOND times the largest count as zero,
-    the rule ``numpy.linalg.lstsq`` applies.  Returns xi, rank and the
-    singular values padded with zeros to ``[N, dim_h]``.
-    """
-    n, m, h = a_mat.shape
-    if h == 0:
-        return np.zeros((n, 0)), np.zeros(n, dtype=int), np.zeros((n, 0))
+
+def _svd_solve(a_mat, b_vec):
+    """Stacked SVD, rank by the ``lstsq`` rule: singular values above
+    RANK_RCOND times the largest count.  Checks finiteness before LAPACK."""
+    _require_finite(a_mat, b_vec)
     u, sigma, vt = np.linalg.svd(a_mat, full_matrices=False)
     kept = sigma > RANK_RCOND * sigma[:, :1]
     coef = (b_vec[:, None, :] @ u) / np.where(kept, sigma, np.inf)[:, None, :]
-    xi = (coef @ vt)[:, 0]
-    if sigma.shape[1] < h:
-        sigma = np.pad(sigma, ((0, 0), (0, h - sigma.shape[1])))
-    return xi, kept.sum(axis=1), sigma
+    return (coef @ vt)[:, 0], kept.sum(axis=1)
+
+
+def _min_norm_solve(a_mat, b_vec):
+    """Minimal-norm least squares, QR first; returns xi and rank.
+
+    One QR of [A | b] gives R and Q^T b for every row.  A row is certified
+    full rank when h^2 max|R| max|R^-1| < 1e-2 / RANK_RCOND, which bounds
+    the 2-norm condition number of A a hundredfold inside the SVD rank rule;
+    it gets xi = R^-1 Q^T b.  Every other row, and every row when
+    dim_m < dim_h, takes :func:`_svd_solve`.
+    """
+    n, m, h = a_mat.shape
+    if h == 0:
+        return np.zeros((n, 0)), np.zeros(n, dtype=int)
+    if m < h:
+        return _svd_solve(a_mat, b_vec)
+    raw = np.linalg.qr(np.concatenate([a_mat, b_vec[..., None]], 2),
+                       mode="raw")[0]
+    r = np.where(_upper(h), raw[:, :h, :h].transpose(0, 2, 1), 0.0)
+    try:
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:  # an exactly zero pivot, as at x = 0
+        bad = ~((np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 0)
+                & np.isfinite(r).all(axis=(1, 2)))
+        # the other rows get the same inputs again, and so the same bits
+        r_inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(h), r))
+        r_inv[bad] = np.nan  # fails the certificate
+    certified = (np.abs(r).max(axis=(1, 2)) * np.abs(r_inv).max(axis=(1, 2))
+                 < 1e-2 / RANK_RCOND / (h * h))
+    xi, rank = (r_inv @ raw[:, h, :h, None])[..., 0], np.full(n, h)
+    if np.count_nonzero(certified) < n:
+        doubt = ~certified
+        xi[doubt], rank[doubt] = _svd_solve(a_mat[doubt], b_vec[doubt])
+    return xi, rank
 
 
 @dataclass(frozen=True)
@@ -109,18 +142,24 @@ class GraphBatch:
 
     ``residual`` is max |A xi - b| of each row's system, which equals the
     bracket oracle :func:`criterion_residuals` up to rounding; ``sigma``
-    holds the singular values of each system, descending.
+    holds the singular values of the systems ``a_mat``, descending, and is
+    computed on first access (the solve does not need it).
     """
 
     y: np.ndarray
     xi: np.ndarray
     residual: np.ndarray
     rank: np.ndarray
-    sigma: np.ndarray
+    a_mat: np.ndarray = field(repr=False, compare=False)
 
     @property
     def unique(self) -> np.ndarray:
         return self.rank == self.xi.shape[1]
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        sigma = np.linalg.svd(self.a_mat, compute_uv=False)
+        return np.pad(sigma, ((0, 0), (0, self.xi.shape[1] - sigma.shape[1])))
 
 
 def assemble(space, Y, C):
@@ -129,7 +168,11 @@ def assemble(space, Y, C):
     Row a, column c of A holds sum_i C_i alpha_i(y, [e_c, U_a]_m) over the
     isotropy basis e_c; b_a = -sum_i C_i alpha_i(y, [y, U_a]_m).
     """
-    return _system(space, *_rows(space, Y, C))
+    Y, C = _rows(space, Y, C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_mat, b_vec = _system(space, Y, C)
+    _require_finite(a_mat, b_vec)
+    return a_mat, b_vec
 
 
 def criterion_residuals(space, Y, C, Xi) -> np.ndarray:
@@ -145,21 +188,23 @@ def solve_batch(space, Y, C) -> GraphBatch:
     """Minimal-norm least-squares solution at every row of Y.
 
     C holds the per-row block weights, e.g. ``metric.c_coefficients(Y)``.
-    The residual is max |A xi - b| per row; :func:`criterion_residuals` is
-    the independent oracle.  A system, solution or residual that overflows
-    raises ``numpy.linalg.LinAlgError``, with no numpy warning.
+    Rows certified full rank are solved by QR, the rest by SVD; the rank is
+    the SVD count either way.  The residual is max |A xi - b| per row;
+    :func:`criterion_residuals` is the independent oracle.  A system,
+    solution or residual that overflows raises ``LinAlgError``, with no
+    numpy warning.
     """
     return _solve(space, *_rows(space, Y, C))
 
 
 def _solve(space, Y, C) -> GraphBatch:
-    a_mat, b_vec = _system(space, Y, C)
     with np.errstate(over="ignore", invalid="ignore"):
-        xi, rank, sigma = _min_norm_solve(a_mat, b_vec)
+        a_mat, b_vec = _system(space, Y, C)
+        xi, rank = _min_norm_solve(a_mat, b_vec)
         residual = np.abs((a_mat @ xi[..., None])[..., 0] - b_vec).max(
             axis=1, initial=0.0)
     _require_finite(residual)
-    return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, sigma=sigma)
+    return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, a_mat=a_mat)
 
 
 # -- one base vector -----------------------------------------------------------
@@ -169,8 +214,8 @@ def _solve(space, Y, C) -> GraphBatch:
 class GeodesicGraphResult:
     """Solved isotropy correction for one base vector.
 
-    ``sigma_min`` is the smallest singular value of the system (infinite
-    when the isotropy is trivial); it is not part of the JSON form.
+    ``sigma_min``, the smallest singular value of the system (infinite when
+    the isotropy is trivial), is computed on first access; not in the JSON.
     """
 
     y: Vector
@@ -180,7 +225,11 @@ class GeodesicGraphResult:
     unique: bool
     y_m: Vector
     xi_h: Vector
-    sigma_min: float
+    batch: GraphBatch = field(repr=False, compare=False)
+
+    @cached_property
+    def sigma_min(self) -> float:
+        return float(self.batch.sigma[0, -1]) if self.xi_h.size else np.inf
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,17 +260,17 @@ def assemble_system(metric: FinslerMetric, y):
     ``geodesic_residual(metric, y, xi)`` equals ``A @ xi - b`` up to
     rounding.
     """
-    a_mat, b_vec = _system(metric.space, *_one(metric, y))
+    a_mat, b_vec = assemble(metric.space, *_one(metric, y))
     return a_mat[0], b_vec[0]
 
 
 def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     """Minimal-norm least-squares solution of the geodesic-graph system.
 
-    The rank is computed from the singular values at the relative threshold
-    1e-10; ``unique`` means the rank equals the isotropy dimension.  A
-    residual above tolerance signals that no isotropy correction makes y a
-    geodesic vector; it is reported, not raised.
+    A batch of one in :func:`solve_batch`; the rank is the SVD count at the
+    relative threshold 1e-10, and ``unique`` means it equals the isotropy
+    dimension.  A residual above tolerance signals that no isotropy
+    correction makes y a geodesic vector; it is reported, not raised.
     """
     space = metric.space
     batch = _solve(space, *_one(metric, y))
@@ -234,7 +283,7 @@ def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
         unique=rank == space.dim_h,
         y_m=batch.y[0],
         xi_h=batch.xi[0],
-        sigma_min=float(batch.sigma[0, -1]) if space.dim_h else np.inf,
+        batch=batch,
     )
 
 
@@ -361,8 +410,7 @@ def go_property_scan(metric: FinslerMetric, n_samples: int,
         raise ValueError("n_samples must be at least 1")
     space = metric.space
     rng = np.random.default_rng(seed)
-    samples = np.array([rng.standard_normal(space.dim_m)
-                        for _ in range(n_samples)])
+    samples = rng.standard_normal((n_samples, space.dim_m))
     samples /= space.alpha_norm(samples)[:, None]
     residuals = solve_batch(space, samples,
                             metric.c_coefficients(samples)).residual

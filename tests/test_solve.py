@@ -1,0 +1,262 @@
+"""The QR-first minimal-norm solve: rows certified full rank are solved by
+QR, every other row by the stacked SVD that is kept here as the reference."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
+                       ReductiveSpace, assemble, closed_form_xi,
+                       criterion_residuals, go_property_scan,
+                       riemannian_metric, solve_batch, solve_geodesic_graph)
+from finslergo.geodesic import RANK_RCOND
+
+
+def _svd_reference(a_mat, b_vec):
+    """The stacked-SVD solve the library used before the QR path."""
+    u, sigma, vt = np.linalg.svd(a_mat, full_matrices=False)
+    kept = sigma > RANK_RCOND * sigma[:, :1]
+    coef = (b_vec[:, None, :] @ u) / np.where(kept, sigma, np.inf)[:, None, :]
+    return (coef @ vt)[:, 0], kept.sum(axis=1)
+
+
+def _metrics(s7):
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    return {
+        "round": riemannian_metric(s7.space, [1.0, 1.0, 1.0]),
+        "sq_sum": FinslerMetric(family, LFunction.squared_sum([1.0, 3.0])),
+        "sum_sq": FinslerMetric(family, LFunction.sum_of_squares([1.0, 2.0])),
+    }
+
+
+def _draw(rng, n, kind):
+    """Unit directions scaled over 1e-150..1e150; near-stratum rows have
+    |x|/|y| log-uniform in [1e-6, 1e-2], edge rows in [1e-12, 1e-8] (where
+    the rank rule flips), on-stratum rows x = 0."""
+    y = rng.standard_normal((n, 7))
+    if kind in ("near", "edge"):
+        lo, hi = (-6.0, -2.0) if kind == "near" else (-12.0, -8.0)
+        ratio = 10.0 ** rng.uniform(lo, hi, n)
+        y[:, :4] *= (ratio * np.linalg.norm(y[:, 4:], axis=1)
+                     / np.linalg.norm(y[:, :4], axis=1))[:, None]
+    elif kind == "on":
+        y[:, :4] = 0.0
+    norm = np.linalg.norm(y, axis=1)[:, None]
+    return y / norm * 10.0 ** rng.uniform(-150.0, 150.0, (n, 1))
+
+
+def _sphere_quotient(n=5):
+    """S^(n-1) = SO(n)/SO(n-1): dim_m = n - 1 < dim_h for n >= 5."""
+    def unit(i, j):
+        e = np.zeros((n, n))
+        e[i, j], e[j, i] = 1.0, -1.0
+        return e
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    labels = [f"E{i}{j}" for i, j in pairs]
+    brackets = {}
+    for p, (i, j) in enumerate(pairs):
+        for q in range(p + 1, len(pairs)):
+            k, l = pairs[q]
+            br = unit(i, j) @ unit(k, l) - unit(k, l) @ unit(i, j)
+            coeffs = {labels[s]: br[a, b] for s, (a, b) in enumerate(pairs)
+                      if br[a, b] != 0.0}
+            if coeffs:
+                brackets[(labels[p], labels[q])] = coeffs
+    h = [lab for (i, j), lab in zip(pairs, labels) if j < n - 1]
+    m = [lab for (i, j), lab in zip(pairs, labels) if j == n - 1]
+    space = ReductiveSpace(LieAlgebra(labels, brackets), h=h, blocks=[m])
+    return riemannian_metric(space, [1.0])
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+# -- the solve against the SVD reference --------------------------------------
+
+@pytest.mark.parametrize("name", ["round", "sq_sum", "sum_sq"])
+def test_rank_and_xi_match_the_svd_reference(s7, name):
+    metric = _metrics(s7)[name]
+    h = s7.space.h_indices
+    rng = np.random.default_rng(401)
+    for kind in ("generic", "near", "edge", "on"):
+        y = _draw(rng, 400, kind)
+        c = metric.c_coefficients(y)
+        batch = solve_batch(s7.space, y, c)
+        ref_xi, ref_rank = _svd_reference(*assemble(s7.space, y, c))
+        norm = np.linalg.norm(y, axis=1)
+        assert np.array_equal(batch.rank, ref_rank)
+        assert np.array_equal(batch.unique, ref_rank == 4)
+        if kind in ("edge", "on"):
+            assert set(ref_rank) == ({1, 4} if kind == "edge" else {1})
+            deficient = ref_rank < 4
+            assert np.array_equal(batch.xi[deficient], ref_xi[deficient])
+            continue
+        assert np.all(ref_rank == 4)
+        exact = closed_form_xi(y / norm[:, None], c)[:, h] * norm[:, None]
+        assert np.all(np.abs(batch.xi - exact).max(axis=1) <= 1e-12 * norm)
+        if kind == "generic":
+            assert np.all(np.abs(batch.xi - ref_xi).max(axis=1)
+                          <= 1e-12 * norm)
+
+
+def test_qr_is_closer_to_the_closed_form_than_the_svd_near_the_stratum(s7):
+    # why near-stratum rows are held to the closed form and not the SVD
+    metric = _metrics(s7)["sq_sum"]
+    y = _draw(np.random.default_rng(403), 2000, "near")
+    c = metric.c_coefficients(y)
+    norm = np.linalg.norm(y, axis=1)
+    exact = closed_form_xi(y / norm[:, None], c)[:, s7.space.h_indices]
+    qr = solve_batch(s7.space, y, c).xi / norm[:, None]
+    svd = _svd_reference(*assemble(s7.space, y, c))[0] / norm[:, None]
+    assert np.abs(qr - exact).max() <= 1e-14
+    assert np.abs(svd - exact).max() > 1e-12
+
+
+def test_mixed_batches_equal_batches_of_one_bit_for_bit(s7):
+    rng = np.random.default_rng(405)
+    y = np.concatenate([_draw(rng, 6, kind) for kind in ("generic", "near",
+                                                          "on")])
+    y = y[rng.permutation(len(y))]
+    for metric in _metrics(s7).values():
+        c = metric.c_coefficients(y)
+        batch = solve_batch(s7.space, y, c)
+        assert set(batch.rank) == {1, 4}
+        for i in range(len(y)):
+            one = solve_batch(s7.space, y[i:i + 1], c[i:i + 1])
+            assert np.array_equal(batch.xi[i], one.xi[0])
+            assert batch.rank[i] == one.rank[0]
+            assert batch.residual[i] == one.residual[0]
+            res = solve_geodesic_graph(metric, y[i])
+            assert np.array_equal(res.xi_h, batch.xi[i])
+
+
+# -- the zero-pivot retry and the SVD fallback --------------------------------
+
+def test_zero_pivots_next_to_a_non_finite_system_raise_not_finite(s7, capfd):
+    # the retry after a zero pivot must also pass over the non-finite row
+    rng = np.random.default_rng(407)
+    rows = np.vstack([_draw(rng, 2, "generic"), _draw(rng, 2, "on"),
+                      np.full(7, 1e200)])
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        solve_batch(s7.space, rows, np.ones((5, 3)))
+    out, err = capfd.readouterr()
+    assert out + err == ""
+
+
+def test_on_stratum_rows_take_the_retry_and_the_svd(s7, round_metric,
+                                                    monkeypatch):
+    y = _draw(np.random.default_rng(409), 5, "on")
+    c = round_metric.c_coefficients(y)
+    a_mat, b_vec = assemble(s7.space, y, c)
+    inverses = _counting(monkeypatch, "inv")
+    svds = _counting(monkeypatch, "svd")
+    batch = solve_batch(s7.space, y, c)
+    assert len(inverses) == 2 and svds == [(5, 7, 4)]
+    ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
+    assert np.array_equal(batch.xi, ref_xi)
+    assert np.array_equal(batch.rank, ref_rank)
+
+
+def test_full_rank_batches_never_call_the_svd(s7, monkeypatch):
+    rng = np.random.default_rng(411)
+    svds = _counting(monkeypatch, "svd")
+    for metric in _metrics(s7).values():
+        for kind in ("generic", "near"):
+            y = _draw(rng, 200, kind)
+            c = metric.c_coefficients(y)
+            assert solve_batch(s7.space, y, c).unique.all()
+            assert solve_geodesic_graph(metric, y[0]).unique
+    go_property_scan(_metrics(s7)["sq_sum"], 500, seed=0)
+    assert svds == []
+
+
+def test_a_space_with_dim_m_below_dim_h_takes_the_svd(monkeypatch):
+    metric = _sphere_quotient()
+    space = metric.space
+    assert (space.dim_m, space.dim_h) == (4, 6)
+    y = np.random.default_rng(413).standard_normal((20, 4))
+    c = metric.c_coefficients(y)
+    a_mat, b_vec = assemble(space, y, c)
+    qrs = _counting(monkeypatch, "qr")
+    batch = solve_batch(space, y, c)
+    assert qrs == []
+    ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
+    assert np.array_equal(batch.xi, ref_xi)
+    assert np.array_equal(batch.rank, ref_rank)
+    assert np.all(batch.rank == 3) and not batch.unique.any()
+    assert batch.sigma.shape == (20, 6) and np.all(batch.sigma[:, 4:] == 0.0)
+    assert np.abs(criterion_residuals(space, y, c, batch.xi)).max() <= 1e-14
+
+
+# -- the lazy singular values -------------------------------------------------
+
+def test_sigma_is_computed_on_first_access(s7, monkeypatch):
+    metric = _metrics(s7)["sq_sum"]
+    y = _draw(np.random.default_rng(415), 30, "generic")
+    y[::7, :4] = 0.0
+    c = metric.c_coefficients(y)
+    a_mat, _ = assemble(s7.space, y, c)
+    ref = np.linalg.svd(a_mat, compute_uv=False)
+    svds = _counting(monkeypatch, "svd")
+    batch = solve_batch(s7.space, y, c)
+    res = solve_geodesic_graph(metric, y[1])
+    assert len(svds) == 1  # the on-stratum rows of the batch
+    assert np.array_equal(batch.sigma, ref) and batch.sigma is batch.sigma
+    assert res.sigma_min == ref[1].min()
+    assert len(svds) == 3  # one more for each of sigma and sigma_min
+    assert "a_mat" not in repr(batch) and "batch=" not in repr(res)
+
+
+# -- input that cannot be solved ----------------------------------------------
+
+def test_overflowing_systems_raise_before_the_svd_without_output(s7, capfd):
+    metric = _metrics(s7)["sq_sum"]
+    generic = _draw(np.random.default_rng(417), 3, "generic")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for big in (np.full(7, 1e153), np.full(7, 1e200),
+                    [1e200, 1, 1, 1, 1, 1, 1], [1e-200, 0, 0, 0, 0, 0, 0]):
+            with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+                solve_geodesic_graph(metric, big)
+        # finite weights, so the system reaches the QR and overflows there
+        rows = np.vstack([generic, np.full(7, 1e200)])
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            solve_batch(s7.space, rows, np.ones((4, 3)))
+    assert [str(w.message) for w in caught] == []
+    out, err = capfd.readouterr()
+    assert out + err == ""
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_block_weights_are_rejected(s7, bad):
+    y = np.ones((3, 7))
+    c = np.ones((3, 3))
+    c[1, 2] = bad
+    for call in (lambda: solve_batch(s7.space, y, c),
+                 lambda: assemble(s7.space, y, c),
+                 lambda: criterion_residuals(s7.space, y, c,
+                                             np.zeros((3, 4)))):
+        with pytest.raises(ValueError, match="block weights C must be finite"):
+            call()
+
+
+# -- the scan draws -----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_scan_draws_equal_a_per_row_loop(s7, round_metric, n):
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        rows = np.array([rng.standard_normal(7) for _ in range(n)])
+        rows /= s7.space.alpha_norm(rows)[:, None]
+        report = go_property_scan(round_metric, n, seed)
+        assert np.array_equal(report.samples, rows)
