@@ -1,7 +1,7 @@
 """Geodesic graphs for composite Finsler metrics on reductive homogeneous spaces."""
 
 from .lie_algebra import (Check, JacobiReport, LieAlgebra, Report,
-                          adjoint_group_element, matrix_exponential)
+                          matrix_exponential)
 from .homogeneous_space import (MetricFamily, ReductiveSpace,
                                 load_space_document)
 from .finsler_metric import (L_CONDITIONS, FinslerMetric, LFunction,
@@ -9,7 +9,6 @@ from .finsler_metric import (L_CONDITIONS, FinslerMetric, LFunction,
                              riemannian_metric, validate_l)
 from .geodesic import (EquivarianceCheck, GeodesicGraphResult, GraphBatch,
                        MatrixRealization, ScanReport, assemble,
-                       assemble_system, check_equivariance,
                        check_equivariance_batch, criterion_residuals,
                        geodesic_residual, go_property_scan,
                        is_geodesic_vector, orbit_curve, solve_batch,
@@ -21,14 +20,12 @@ from .s7_catalog import (ClosedFormReport, KCoefficients, S7Space,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Check", "JacobiReport", "LieAlgebra", "Report", "adjoint_group_element",
-    "matrix_exponential",
+    "Check", "JacobiReport", "LieAlgebra", "Report", "matrix_exponential",
     "MetricFamily", "ReductiveSpace", "load_space_document",
     "L_CONDITIONS", "FinslerMetric", "LFunction", "degree_one_sum",
     "l_function_from_spec", "riemannian_metric", "validate_l",
     "EquivarianceCheck", "GeodesicGraphResult", "GraphBatch",
-    "MatrixRealization", "ScanReport", "assemble",
-    "assemble_system", "check_equivariance", "check_equivariance_batch",
+    "MatrixRealization", "ScanReport", "assemble", "check_equivariance_batch",
     "criterion_residuals", "geodesic_residual", "go_property_scan",
     "is_geodesic_vector", "orbit_curve", "solve_batch",
     "solve_geodesic_graph",

@@ -46,14 +46,13 @@ class LFunction:
     expression; custom callables are called once per row.
     """
 
-    def __init__(self, kind: str, arity: int, value, grad, weights=None):
+    def __init__(self, kind: str, arity: int, value, grad):
         self.kind = kind
         self.arity = int(arity)
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
         self._value = value
         self._grad = grad
-        self.weights = None if weights is None else np.asarray(weights, float)
 
     # -- built-in kinds ------------------------------------------------------
 
@@ -63,8 +62,7 @@ class LFunction:
         w = _positive_weights(weights)
         return cls("sum_sq", len(w),
                    lambda u: _rowdot(u * u, w),
-                   lambda u: 2.0 * w * u,
-                   weights=w)
+                   lambda u: 2.0 * w * u)
 
     @classmethod
     def squared_sum(cls, weights) -> "LFunction":
@@ -72,8 +70,7 @@ class LFunction:
         w = _positive_weights(weights)
         return cls("sq_sum", len(w),
                    lambda u: _rowdot(u, w) ** 2,
-                   lambda u: 2.0 * _rowdot(u, w)[..., None] * w,
-                   weights=w)
+                   lambda u: 2.0 * _rowdot(u, w)[..., None] * w)
 
     @classmethod
     def custom(cls, value, grad, arity: int) -> "LFunction":
@@ -113,11 +110,6 @@ class LFunction:
             raise ValueError("gradient callable returned a wrong shape")
         return g
 
-    def to_json_dict(self) -> dict:
-        if self.weights is None:
-            return {"kind": self.kind}
-        return {"kind": self.kind, "weights": [float(w) for w in self.weights]}
-
     def __repr__(self) -> str:
         return f"LFunction(kind={self.kind!r}, arity={self.arity})"
 
@@ -131,8 +123,7 @@ def degree_one_sum(weights) -> LFunction:
     w = _positive_weights(weights)
     return LFunction("sum", len(w),
                      lambda u: _rowdot(u, w),
-                     lambda u: np.broadcast_to(w, u.shape).copy(),
-                     weights=w)
+                     lambda u: np.broadcast_to(w, u.shape).copy())
 
 
 def _per_row(fn):
@@ -233,16 +224,13 @@ class FinslerMetric:
                 f"{family.k}")
         self.family = family
         self.lf = lf
-        self.l_report = None
-        self.validated = False
         if not unchecked:
-            self.l_report = validate_l(lf, sample_count=64, seed=0)
-            if not self.l_report.passed:
+            report = validate_l(lf, sample_count=64, seed=0)
+            if not report.passed:
                 raise ValueError(
                     "combiner fails Minkowski-norm conditions "
-                    f"{self.l_report.failed()}; pass unchecked=True "
+                    f"{report.failed()}; pass unchecked=True "
                     "to construct anyway")
-            self.validated = True
 
     @property
     def space(self):
@@ -253,9 +241,6 @@ class FinslerMetric:
         return self.family.k
 
     # -- internal helpers ------------------------------------------------------
-
-    def _require_m(self, y, allow_zero: bool = False) -> Vector:
-        return self.space.coerce_m(y, allow_zero=allow_zero)
 
     def _norms(self, ym: Vector) -> Vector:
         """The k norms (sqrt(g_j(y, y)))_j of m-coordinates ``[..., dim_m]``."""
@@ -279,7 +264,7 @@ class FinslerMetric:
 
     def f_value(self, y) -> float:
         """The norm F(y); positive for y != 0, positively 1-homogeneous."""
-        ym = self._require_m(y, allow_zero=True)
+        ym = self.space.coerce_m(y, allow_zero=True)
         if not np.any(ym):
             return 0.0
         return float(np.sqrt(self.lf.value(self._norms(ym))))
@@ -289,28 +274,28 @@ class FinslerMetric:
 
         A batch ``y[N, n]`` gives ``[N, k]``, one row per base vector.
         """
-        return self._b(self._require_m(y))
+        return self._b(self.space.coerce_m(y))
 
     def c_coefficients(self, y) -> Vector:
         """Per-block weights C_i = sum_j B_j a[j, i]; positive for y != 0.
 
         A batch ``y[N, n]`` gives ``[N, s]``, one row per base vector.
         """
-        return self._c(self._require_m(y))
+        return self._c(self.space.coerce_m(y))
 
     def fundamental_contraction(self, y, v) -> float:
         """g_y(y, v): the fundamental tensor contracted with the base vector,
         in the block form sum_i C_i alpha_i(y, v)."""
-        ym = self._require_m(y)
-        vm = self._require_m(v, allow_zero=True)
+        ym = self.space.coerce_m(y)
+        vm = self.space.coerce_m(v, allow_zero=True)
         return float(self.space.weighted_apply(ym, self._c(ym)) @ vm)
 
     def fd_fundamental(self, y, v, step: float = 1e-4) -> float:
         """Independent oracle: central difference of 0.5*F^2(y + t v) at 0."""
         if step <= 0:
             raise ValueError("step must be positive")
-        ym = self._require_m(y)
-        vm = self._require_m(v, allow_zero=True)
+        ym = self.space.coerce_m(y)
+        vm = self.space.coerce_m(v, allow_zero=True)
         fp = self.f_value(ym + step * vm) ** 2
         fm = self.f_value(ym - step * vm) ** 2
         return (fp - fm) / (4.0 * step)

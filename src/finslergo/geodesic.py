@@ -108,8 +108,11 @@ def _min_norm_solve(a_mat, b_vec):
     One QR of [A | b] gives R and Q^T b for every row.  A row is certified
     full rank when h^2 max|R| max|R^-1| < 1e-2 / RANK_RCOND, which bounds
     the 2-norm condition number of A a hundredfold inside the SVD rank rule;
-    it gets xi = R^-1 Q^T b.  Every other row, and every row when
-    dim_m < dim_h, takes :func:`_svd_solve`.
+    it gets xi = R^-1 Q^T b.  Every other row takes its rank from
+    :func:`_svd_solve`, and keeps the QR xi when that rank is full and the
+    QR xi is finite: just off the x = 0 stratum R^-1 Q^T b is far closer
+    to the solution than the SVD's xi.  When dim_m < dim_h, every row
+    takes :func:`_svd_solve`.
     """
     n, m, h = a_mat.shape
     if h == 0:
@@ -132,7 +135,10 @@ def _min_norm_solve(a_mat, b_vec):
     xi, rank = (r_inv @ raw[:, h, :h, None])[..., 0], np.full(n, h)
     if np.count_nonzero(certified) < n:
         doubt = ~certified
-        xi[doubt], rank[doubt] = _svd_solve(a_mat[doubt], b_vec[doubt])
+        svd_xi, rank[doubt] = _svd_solve(a_mat[doubt], b_vec[doubt])
+        qr_xi = xi[doubt]
+        keep = (rank[doubt] == h) & np.isfinite(qr_xi).all(axis=1)
+        xi[doubt] = np.where(keep[:, None], qr_xi, svd_xi)
     return xi, rank
 
 
@@ -188,11 +194,11 @@ def solve_batch(space, Y, C) -> GraphBatch:
     """Minimal-norm least-squares solution at every row of Y.
 
     C holds the per-row block weights, e.g. ``metric.c_coefficients(Y)``.
-    Rows certified full rank are solved by QR, the rest by SVD; the rank is
-    the SVD count either way.  The residual is max |A xi - b| per row;
-    :func:`criterion_residuals` is the independent oracle.  A system,
-    solution or residual that overflows raises ``LinAlgError``, with no
-    numpy warning.
+    Rows certified full rank are solved by QR; the rest get the SVD rank,
+    and the SVD xi where that rank is not full.  The residual is
+    max |A xi - b| per row; :func:`criterion_residuals` is the independent
+    oracle.  A system, solution or residual that overflows raises
+    ``LinAlgError``, with no numpy warning.
     """
     return _solve(space, *_rows(space, Y, C))
 
@@ -254,16 +260,6 @@ def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
     return _criterion(metric.space, ym, xih, metric.space.weighted_apply(ym, c))[0]
 
 
-def assemble_system(metric: FinslerMetric, y):
-    """Matrix and right-hand side of the criterion at one base vector.
-
-    ``geodesic_residual(metric, y, xi)`` equals ``A @ xi - b`` up to
-    rounding.
-    """
-    a_mat, b_vec = assemble(metric.space, *_one(metric, y))
-    return a_mat[0], b_vec[0]
-
-
 def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     """Minimal-norm least-squares solution of the geodesic-graph system.
 
@@ -311,16 +307,22 @@ def is_geodesic_vector(metric: FinslerMetric, w) -> Check:
 
 @dataclass(frozen=True)
 class EquivarianceCheck:
-    """Transport deviation and uniqueness flags; arrays for a batch."""
+    """Transport deviation and uniqueness flags, one entry per row."""
 
-    deviation: float
-    unique_source: bool
-    unique_transported: bool
+    deviation: np.ndarray
+    unique_source: np.ndarray
+    unique_transported: np.ndarray
 
 
 def check_equivariance_batch(metric: FinslerMetric, Y, H, T) -> EquivarianceCheck:
-    """:func:`check_equivariance` for each row of ``Y[N, n]``, ``H[N, dim_h]``
-    and ``T[N]``; the fields of the result are arrays over the rows."""
+    """Compare solving after transport with transporting the solution.
+
+    Row n transports ``Y[n]`` by exp(T[n] ad(H[n])) for an isotropy vector
+    ``H[n]``, solves at both points, and gives the norm of xi(transported
+    y) - transported xi(y); rank deficiency on either side is reported
+    through the unique flags.  The fields of the result are arrays over the
+    rows.
+    """
     space = metric.space
     Y = space.coerce_m(Y)
     H = np.asarray(H, dtype=float)
@@ -348,23 +350,6 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T) -> EquivarianceChec
     )
 
 
-def check_equivariance(metric: FinslerMetric, y, h, t: float) -> EquivarianceCheck:
-    """Compare solving after transport with transporting the solution.
-
-    Transports y by exp(t*ad(h)) for an isotropy vector h, solves at both
-    points, and returns the norm of xi(transported y) - transported xi(y).
-    Rank deficiency on either side is reported through the unique flags.
-    """
-    space = metric.space
-    chk = check_equivariance_batch(metric, space.coerce_m(y)[None],
-                                   space.coerce_h(h)[None], [float(t)])
-    return EquivarianceCheck(
-        deviation=float(chk.deviation[0]),
-        unique_source=bool(chk.unique_source[0]),
-        unique_transported=bool(chk.unique_transported[0]),
-    )
-
-
 @dataclass(frozen=True)
 class ScanReport:
     """Residuals of the solved graph over random unit-sphere samples."""
@@ -384,10 +369,6 @@ class ScanReport:
         yield ",".join([*self.labels, "residual"])
         for row, res in zip(self.samples, self.residuals):
             yield ",".join([*(float_repr(v) for v in row), float_repr(res)])
-
-    def write_csv(self, stream) -> None:
-        for line in self.to_csv_lines():
-            stream.write(line + "\n")
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,8 +12,6 @@ concatenation of the blocks, so every family Gram matrix is block diagonal.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .lie_algebra import Check, LieAlgebra, Report, Vector
@@ -60,21 +58,16 @@ class ReductiveSpace:
                 raise ValueError("Gram matrices must be finite")
         self.alpha = alpha
 
-        # positions of each block inside the m-coordinate layout
-        self._block_slices = []
-        off = 0
-        for blk in self.blocks:
-            self._block_slices.append(slice(off, off + len(blk)))
-            off += len(blk)
-
         # Per-space tensors of the batched criterion: block i's Gram placed
         # in its m-slice, the block of each m-coordinate, the structure
         # constants c[i, a, k] of [e_i, U_a]_m for i in h and for all i, and
         # c[h + m, m, m] as one matrix, which gives A and b in one product.
         m, h = self.m_indices, self.h_indices
         self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
-        for grams, a, sl in zip(self.block_grams, alpha, self._block_slices):
-            grams[sl, sl] = a
+        off = 0
+        for grams, a in zip(self.block_grams, alpha):
+            grams[off:off + len(a), off:off + len(a)] = a
+            off += len(a)
         self._gram = self.block_grams.sum(axis=0)
         self._block_of = np.repeat(np.arange(self.n_blocks),
                                    [len(blk) for blk in self.blocks])
@@ -110,22 +103,7 @@ class ReductiveSpace:
     def h_labels(self):
         return [self.alg.basis_labels[i] for i in self.h_indices]
 
-    # -- projections and coordinates -----------------------------------------
-
-    def project_m(self, v) -> Vector:
-        """Zero out the h-coordinates; idempotent and linear."""
-        v = self.alg.vector(v).copy()
-        v[self.h_indices] = 0.0
-        return v
-
-    def project_h(self, v) -> Vector:
-        """Zero out the m-coordinates; complementary to project_m."""
-        v = self.alg.vector(v).copy()
-        v[self.m_indices] = 0.0
-        return v
-
-    def h_coords(self, v) -> Vector:
-        return self.alg.vector(v)[self.h_indices]
+    # -- coordinates ---------------------------------------------------------
 
     def embed_m(self, vm) -> Vector:
         """Full coordinates of m-coordinates ``[..., dim_m]``."""
@@ -191,17 +169,6 @@ class ReductiveSpace:
         return vh
 
     # -- block scalar products -------------------------------------------------
-
-    def alpha_gram(self) -> np.ndarray:
-        """Block-diagonal Gram of the base products (all weights one)."""
-        return self.weighted_alpha_gram(np.ones(self.n_blocks))
-
-    def weighted_alpha_gram(self, weights) -> np.ndarray:
-        """Block-diagonal Gram sum_i weights[i] * alpha_i in m-coordinates."""
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (self.n_blocks,):
-            raise ValueError(f"expected {self.n_blocks} block weights")
-        return np.tensordot(weights, self.block_grams, 1)
 
     def _apply_gram(self, vm) -> np.ndarray:
         """Rows of the unweighted block Gram applied to m-coordinates."""
@@ -277,9 +244,6 @@ class ReductiveSpace:
             doc["family_a"] = [[float(x) for x in row] for row in family.a]
         return doc
 
-    def to_json(self, family=None, indent=None) -> str:
-        return json.dumps(self.to_json_dict(family), indent=indent)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReductiveSpace":
         alg = LieAlgebra.from_json_dict(doc["algebra"])
@@ -287,10 +251,6 @@ class ReductiveSpace:
         alpha = [np.array(flat, dtype=float).reshape(len(blk), len(blk))
                  for flat, blk in zip(doc["alpha"], blocks)]
         return cls(alg, doc["h"], blocks, alpha)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReductiveSpace":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return (f"ReductiveSpace(dim={self.dim}, h={self.h_labels()}, "
@@ -317,27 +277,6 @@ class MetricFamily:
     @property
     def k(self) -> int:
         return self.a.shape[0]
-
-    def _check_j(self, j: int) -> int:
-        j = int(j)
-        if not 0 <= j < self.k:
-            raise ValueError(f"metric index {j} out of range for k={self.k}")
-        return j
-
-    def gram(self, j: int) -> np.ndarray:
-        """Block-diagonal Gram matrix of g_j on m (m-coordinate layout)."""
-        return self.space.weighted_alpha_gram(self.a[self._check_j(j)])
-
-    def evaluate(self, j: int, u, v) -> float:
-        """g_j(u, v) for vectors given in full or m-coordinates.
-
-        Input is checked as :meth:`ReductiveSpace.coerce_m` checks it: full
-        vectors must have zero isotropy components, and entries be finite.
-        """
-        if np.ndim(u) != 1 or np.ndim(v) != 1:
-            raise ValueError("expected two vectors")
-        um, vm = (self.space.coerce_m(w, allow_zero=True) for w in (u, v))
-        return float(um @ self.gram(j) @ vm)
 
     def __repr__(self) -> str:
         return f"MetricFamily(k={self.k}, s={self.space.n_blocks})"

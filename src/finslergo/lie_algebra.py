@@ -11,7 +11,6 @@ defined here, in the module all others import.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,9 +170,6 @@ class LieAlgebra:
         return {"dim": self.dim, "basis": list(self.basis_labels),
                 "brackets": entries}
 
-    def to_json(self, indent=None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LieAlgebra":
         labels = doc["basis"]
@@ -185,10 +181,6 @@ class LieAlgebra:
             brackets[key] = {int(k): float(v)
                              for k, v in entry["coeffs"].items()}
         return cls(labels, brackets)
-
-    @classmethod
-    def from_json(cls, text: str) -> "LieAlgebra":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, basis={self.basis_labels})"
@@ -236,8 +228,3 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
         more = squarings > k
         r[more] = r[more] @ r[more]
     return r
-
-
-def adjoint_group_element(alg: LieAlgebra, h, t: float) -> np.ndarray:
-    """Adjoint action exp(t*ad(h)) of the one-parameter subgroup of h."""
-    return matrix_exponential(alg.ad_operator(h), t)

@@ -30,11 +30,10 @@ M_LABELS = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3")
 H_LABELS = ("H1", "H2", "H3", "W")
 LABELS = M_LABELS + H_LABELS
 
-_H_RANGE = range(7, 11)
 
-
-def _complex_basis():
-    """The ten sp(2) basis elements as 4 x 4 complex matrices.
+def _complex_basis() -> np.ndarray:
+    """The ten sp(2) basis elements as a [10, 4, 4] complex stack, in LABELS
+    order.
 
     Rows/columns 0-1 carry the isotropy sp(1) block, rows/columns 2-3 the
     Z block; the off-diagonal blocks carry X1..X4.  Every matrix is
@@ -54,12 +53,10 @@ def _complex_basis():
         "Z2": {(2, 3): -1, (3, 2): 1},
         "Z3": {(2, 3): -i, (3, 2): -i},
     }
-    out = {}
+    out = np.zeros((10, 4, 4), dtype=complex)
     for lab, entries in mats.items():
-        m = np.zeros((4, 4), dtype=complex)
         for (a, b), v in entries.items():
-            m[a, b] = v
-        out[lab] = m
+            out[LABELS.index(lab), a, b] = v
     return out
 
 
@@ -101,9 +98,6 @@ class S7Space:
     def algebra(self) -> LieAlgebra:
         return self.space.alg
 
-    def to_json_dict(self, family=None) -> dict:
-        return self.space.to_json_dict(family)
-
 
 @lru_cache(maxsize=1)
 def build_s7_space() -> S7Space:
@@ -111,65 +105,54 @@ def build_s7_space() -> S7Space:
 
     The returned object is cached and must be treated as immutable.
     """
-    mats = _complex_basis()
+    sp2 = _complex_basis()
     conj_swap = np.zeros((4, 4), dtype=complex)
     conj_swap[0, 1] = conj_swap[2, 3] = -1.0
     conj_swap[1, 0] = conj_swap[3, 2] = 1.0
-    for lab in LABELS[:10]:
-        m = mats[lab]
-        if not np.allclose(m.conj().T, -m, atol=1e-14):
-            raise RuntimeError(f"matrix model of {lab} is not skew-Hermitian")
-        if not np.allclose(m @ conj_swap, conj_swap @ m.conj(), atol=1e-14):
-            raise RuntimeError(f"matrix model of {lab} is not quaternionic")
+    for what, lhs, rhs in (
+            ("skew-Hermitian", sp2.conj().transpose(0, 2, 1), -sp2),
+            ("quaternionic", sp2 @ conj_swap, conj_swap @ sp2.conj())):
+        ok = np.isclose(lhs, rhs, atol=1e-14).all(axis=(1, 2))
+        if not ok.all():
+            raise RuntimeError(
+                f"matrix model of {LABELS[np.argmin(ok)]} is not {what}")
 
     def flat(m):
-        return np.concatenate([m.real.ravel(), m.imag.ravel()])
+        return np.concatenate([m.real, m.imag], axis=-2).reshape(-1, 32).T
 
-    sp2 = [mats[lab] for lab in LABELS[:10]]
-    span = np.stack([flat(m) for m in sp2], axis=1)
+    # all commutators [e_i, e_j] at once, expanded over the basis by one
+    # least-squares solve; column 10 i + j belongs to the pair (i, j)
+    comm = sp2[:, None] @ sp2[None] - sp2[None] @ sp2[:, None]
+    span, rhs = flat(sp2), flat(comm)
+    coeffs = np.linalg.lstsq(span, rhs, rcond=None)[0]
+    snapped = np.round(coeffs)
+    for bad, what in (
+            (np.linalg.norm(span @ coeffs - rhs, axis=0) > 1e-10,
+             "leaves the span"),
+            (np.abs(coeffs - snapped).max(axis=0) > 1e-9,
+             "has non-integer structure constants")):
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), 10)
+            raise RuntimeError(f"commutator [{LABELS[i]}, {LABELS[j]}] {what}")
 
+    c = np.zeros((11, 11, 11))
+    c[:10, :10, :10] = snapped.T.reshape(10, 10, 10)
+    # W acts on m exactly as the prescribed operator and commutes with h;
+    # [e_j, W] = -[W, e_j]
+    c[:7, 10, :7] = -isotropy_operator_patterns()["W"].T
     brackets = {}
-    for i in range(10):
-        for j in range(i + 1, 10):
-            comm = sp2[i] @ sp2[j] - sp2[j] @ sp2[i]
-            coeffs, _, _, _ = np.linalg.lstsq(span, flat(comm), rcond=None)
-            if np.linalg.norm(span @ coeffs - flat(comm)) > 1e-10:
-                raise RuntimeError(
-                    f"commutator [{LABELS[i]}, {LABELS[j]}] leaves the span")
-            snapped = np.round(coeffs)
-            if np.abs(coeffs - snapped).max() > 1e-9:
-                raise RuntimeError(
-                    f"non-integer structure constants for "
-                    f"[{LABELS[i]}, {LABELS[j]}]: {coeffs}")
-            entry = {k: float(v) for k, v in enumerate(snapped) if v != 0.0}
-            if entry:
-                brackets[(i, j)] = entry
-
-    # W acts on m exactly as the prescribed operator and commutes with h
-    w_op = isotropy_operator_patterns()["W"]
-    for j in range(7):
-        entry = {k: -float(w_op[k, j]) for k in range(7) if w_op[k, j] != 0.0}
-        if entry:
-            brackets[(j, 10)] = entry  # [e_j, W] = -[W, e_j]
-
+    for i, j, k in np.argwhere(c):
+        if i < j:
+            brackets.setdefault((i, j), {})[k] = c[i, j, k]
     alg = LieAlgebra(LABELS, brackets)
 
     jac = alg.check_jacobi(tol=1e-12)
     if not jac.passed:
         raise RuntimeError(f"Jacobi identity violated: {jac.max_violation}")
-
-    m_idx = np.arange(7)
-    patterns = isotropy_operator_patterns()
-    for lab, pattern in patterns.items():
-        ad = alg.ad_operator(alg.basis_vector(lab))
-        if not np.array_equal(ad[np.ix_(m_idx, m_idx)], pattern):
-            raise RuntimeError(f"restricted adjoint of {lab} is off-pattern")
-        if np.abs(ad[7:, :7]).max(initial=0.0) != 0.0:
-            raise RuntimeError(f"{lab} does not preserve m")
-    ad_w = alg.ad_operator(alg.basis_vector("W"))
-    ad_z1 = alg.ad_operator(alg.basis_vector("Z1"))
-    if not np.array_equal(ad_w[np.ix_(m_idx, m_idx)],
-                          ad_z1[np.ix_(m_idx, m_idx)]):
+    if _ad_pattern_deviation(alg) != 0.0:
+        raise RuntimeError("restricted adjoints of h are off-pattern or "
+                           "do not preserve m")
+    if not np.array_equal(alg.structure[10, :7, :7], alg.structure[4, :7, :7]):
         raise RuntimeError("W does not act on m like the Z1 adjoint")
 
     space = ReductiveSpace(
@@ -183,38 +166,36 @@ def build_s7_space() -> S7Space:
 
     # 8 x 8 real realization; the extra u(1) direction realizes W as the
     # Z1 matrix shifted by -i * identity so that it annihilates the base point
-    w_mat = mats["Z1"] - 1j * np.eye(4)
-    reals = np.stack([_realify(mats[lab]) for lab in LABELS[:10]]
-                     + [_realify(w_mat)])
+    reals = _realify(np.concatenate([sp2, sp2[4:5] - 1j * np.eye(4)]))
     base_point = np.zeros(8)
     base_point[2] = 1.0
-    for idx in _H_RANGE:
-        if np.abs(reals[idx] @ base_point).max() > 1e-14:
-            raise RuntimeError(
-                f"isotropy generator {LABELS[idx]} moves the base point")
-    for i in range(11):
-        for j in range(i + 1, 11):
-            comm = reals[i] @ reals[j] - reals[j] @ reals[i]
-            expect = np.einsum("k,kab->ab", alg.structure[i, j], reals)
-            if np.abs(comm - expect).max() > 1e-12:
-                raise RuntimeError(
-                    f"realization breaks brackets at ({LABELS[i]}, {LABELS[j]})")
+    moved = np.abs(reals[7:] @ base_point).max(axis=1)
+    if moved.max() > 1e-14:
+        raise RuntimeError(f"isotropy generator {H_LABELS[np.argmax(moved)]}"
+                           " moves the base point")
+    comm = reals[:, None] @ reals[None] - reals[None] @ reals[:, None]
+    off = np.abs(comm - np.einsum("ijk,kab->ijab", alg.structure, reals))
+    if off.max() > 1e-12:
+        i, j = np.argwhere(off.max(axis=(2, 3)) > 1e-12)[0]
+        raise RuntimeError(
+            f"realization breaks brackets at ({LABELS[i]}, {LABELS[j]})")
 
     return S7Space(space=space,
                    realization=MatrixRealization(reals, base_point))
 
 
+def _ad_pattern_deviation(alg: LieAlgebra) -> float:
+    """Worst entry deviation of the restricted adjoints of h from their
+    patterns, and of their components leaving m."""
+    patterns = isotropy_operator_patterns()
+    ad = alg.structure[[alg.index(lab) for lab in patterns]].transpose(0, 2, 1)
+    pattern_off = np.abs(ad[:, :7, :7] - np.stack(list(patterns.values())))
+    return float(max(pattern_off.max(), np.abs(ad[:, 7:, :7]).max()))
+
+
 def ad_pattern_deviation(s7: S7Space | None = None) -> float:
     """Worst entry deviation of the restricted adjoints from their patterns."""
-    s7 = s7 or build_s7_space()
-    alg = s7.algebra
-    m_idx = np.arange(7)
-    worst = 0.0
-    for lab, pattern in isotropy_operator_patterns().items():
-        ad = alg.ad_operator(alg.basis_vector(lab))
-        worst = max(worst, float(np.abs(ad[np.ix_(m_idx, m_idx)] - pattern).max()))
-        worst = max(worst, float(np.abs(ad[7:, :7]).max(initial=0.0)))
-    return worst
+    return _ad_pattern_deviation((s7 or build_s7_space()).algebra)
 
 
 @dataclass(frozen=True)
@@ -308,25 +289,20 @@ def extended_matrix(y, c) -> np.ndarray:
                      for row in rows], axis=-2)
 
 
-def _extended_deviations(Y, C) -> np.ndarray:
-    """Per row: max abs difference between the display and the row-scaled
-    assembly, and the magnitude of the assembled Z1 row."""
+def extended_matrix_deviation(Y, C) -> np.ndarray:
+    """Max abs difference between the display and the row-scaled assembly,
+    one value per row of ``Y[N, n]`` and ``C[N, 3]``.
+
+    Also includes the magnitude of the assembled Z1 row, which the display
+    omits because it vanishes identically.
+    """
+    C = _positive_triple(C)
     a_mat, b_vec = assemble(build_s7_space().space, Y, C)
     full = np.concatenate([a_mat, b_vec[..., None]], axis=-1)
     scale = C[:, [0, 0, 0, 0, 2, 2], None]
     scaled = full[:, [0, 1, 2, 3, 5, 6]] / scale
     return np.maximum(np.abs(full[:, 4]).max(axis=-1),
                       np.abs(scaled - extended_matrix(Y, C)).max(axis=(1, 2)))
-
-
-def extended_matrix_deviation(y, c) -> float:
-    """Max abs difference between the display and the row-scaled assembly.
-
-    Also includes the magnitude of the assembled Z1 row, which the display
-    omits because it vanishes identically.
-    """
-    ym = build_s7_space().space.coerce_m(y)
-    return float(_extended_deviations(ym[None], _positive_triple(c)[None])[0])
 
 
 def _draw_y_c(seed: int, n_samples: int):
@@ -343,7 +319,7 @@ def _draw_y_c(seed: int, n_samples: int):
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over random base vectors and weights."""
     y, c = _draw_y_c(seed, n_samples)
-    dev = _extended_deviations(y, c)
+    dev = extended_matrix_deviation(y, c)
     i = int(np.argmax(dev))
     return {
         "passed": bool(dev[i] <= tol),

@@ -4,6 +4,7 @@ checked where it arrives."""
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -14,8 +15,7 @@ from numpy.testing import assert_allclose
 
 import finslergo
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
-                       ReductiveSpace, assemble, assemble_system,
-                       check_equivariance, check_equivariance_batch,
+                       ReductiveSpace, assemble, check_equivariance_batch,
                        closed_form_xi, criterion_residuals, extended_matrix,
                        geodesic_residual, go_property_scan, riemannian_metric,
                        solve_batch, solve_geodesic_graph, verify_closed_form)
@@ -82,8 +82,8 @@ def test_assemble_and_residuals_agree_with_single_calls(s7):
     a_mat, b_vec = assemble(s7.space, y, c)
     res = criterion_residuals(s7.space, y, c, xi)
     for i in range(12):
-        a1, b1 = assemble_system(metric, y[i])
-        assert np.array_equal(a_mat[i], a1) and np.array_equal(b_vec[i], b1)
+        a1, b1 = assemble(s7.space, y[i:i + 1], c[i:i + 1])
+        assert np.array_equal(a_mat[i], a1[0]) and np.array_equal(b_vec[i], b1[0])
         assert np.array_equal(res[i], geodesic_residual(metric, y[i], xi[i]))
 
 
@@ -103,11 +103,12 @@ def test_equivariance_batch_agrees_with_single_checks(s7):
     t = rng.uniform(-1.0, 1.0, 6)
     batch = check_equivariance_batch(metric, y, h, t)
     for i in range(6):
-        one = check_equivariance(metric, y[i], h[i], t[i])
-        assert_allclose(batch.deviation[i], one.deviation, rtol=1e-12,
+        one = check_equivariance_batch(metric, y[i:i + 1], h[i:i + 1],
+                                       t[i:i + 1])
+        assert_allclose(batch.deviation[i], one.deviation[0], rtol=1e-12,
                         atol=1e-15)
-        assert batch.unique_source[i] == one.unique_source
-        assert batch.unique_transported[i] == one.unique_transported
+        assert batch.unique_source[i] == one.unique_source[0]
+        assert batch.unique_transported[i] == one.unique_transported[0]
 
 
 # -- the closed form over rows -------------------------------------------------
@@ -166,9 +167,10 @@ def test_verify_witnesses_are_rows_of_the_documented_draws(s7):
 def test_sigma_min_is_the_smallest_singular_value(s7, round_metric):
     for y in unit_m_samples(s7.space, 10, seed=317):
         res = solve_geodesic_graph(round_metric, y)
-        a_mat, _ = assemble_system(round_metric, y)
+        a_mat, _ = assemble(s7.space, y[None],
+                            round_metric.c_coefficients(y[None]))
         assert_allclose(res.sigma_min,
-                        np.linalg.svd(a_mat, compute_uv=False).min(),
+                        np.linalg.svd(a_mat[0], compute_uv=False).min(),
                         rtol=1e-12)
     pure_x = np.zeros(7)
     pure_x[0] = 1.0
@@ -276,3 +278,17 @@ print(codes, 'scipy' in sys.modules)"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=env)
     assert proc.stdout.strip() == "[0, 0] False"
+
+
+# -- the public names ---------------------------------------------------------------
+
+def test_all_lists_exactly_the_public_names():
+    namespace = {}
+    exec("from finslergo import *", namespace)
+    public = {name for name, obj in vars(finslergo).items()
+              if not name.startswith("_")
+              and not isinstance(obj, types.ModuleType)}
+    assert sorted(finslergo.__all__) == sorted(public)
+    assert set(namespace) - {"__builtins__"} == public
+    assert not public & {"adjoint_group_element", "assemble_system",
+                         "check_equivariance"}

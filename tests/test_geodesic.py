@@ -1,11 +1,9 @@
-import io
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
-                       ReductiveSpace, assemble_system, check_equivariance,
+                       ReductiveSpace, assemble, check_equivariance_batch,
                        closed_form_xi, geodesic_residual, go_property_scan,
                        is_geodesic_vector, k_coefficients, matrix_exponential,
                        orbit_curve, riemannian_metric, solve_geodesic_graph)
@@ -50,10 +48,17 @@ def test_residual_rejects_zero_base(round_metric):
 
 # -- system assembly ------------------------------------------------------------
 
+def one_system(metric, y):
+    """A and b at one base vector, as a batch of one."""
+    y = np.asarray(y, dtype=float)[None]
+    a_mat, b_vec = assemble(metric.space, y, metric.c_coefficients(y))
+    return a_mat[0], b_vec[0]
+
+
 def test_system_reproduces_residual(s7, finsler):
     rng = np.random.default_rng(107)
     for y in unit_m_samples(s7.space, 20, seed=109):
-        a_mat, b_vec = assemble_system(finsler, y)
+        a_mat, b_vec = one_system(finsler, y)
         xi = rng.standard_normal(4)
         assert_allclose(a_mat @ xi - b_vec,
                         geodesic_residual(finsler, y, xi), atol=1e-13)
@@ -62,7 +67,7 @@ def test_system_reproduces_residual(s7, finsler):
 def test_system_rhs_zero_without_z_part(finsler):
     y = np.zeros(7)
     y[:4] = [0.3, -1.2, 0.5, 2.0]
-    _, b_vec = assemble_system(finsler, y)
+    _, b_vec = one_system(finsler, y)
     # X rows vanish structurally; Z rows cancel a skew quadratic form and
     # leave only summation roundoff
     assert_allclose(b_vec[:4], 0.0, atol=0.0)
@@ -71,8 +76,8 @@ def test_system_rhs_zero_without_z_part(finsler):
 
 def test_system_scaling_in_base_vector(finsler):
     y = np.random.default_rng(113).standard_normal(7)
-    a1, b1 = assemble_system(finsler, y)
-    a2, b2 = assemble_system(finsler, 2.0 * y)
+    a1, b1 = one_system(finsler, y)
+    a2, b2 = one_system(finsler, 2.0 * y)
     # induced weights are scale invariant, so A is linear and b quadratic
     assert_allclose(a2, 2.0 * a1, rtol=1e-12)
     assert_allclose(b2, 4.0 * b1, rtol=1e-12)
@@ -184,25 +189,27 @@ def test_geodesic_vector_rejects_zero_m_part(s7, round_metric):
 
 def test_equivariance_at_zero_time(s7, finsler):
     y = unit_m_samples(s7.space, 1, seed=157)[0]
-    chk = check_equivariance(finsler, y, np.array([1.0, 0, 0, 0]), 0.0)
-    assert chk.deviation == 0.0
+    chk = check_equivariance_batch(finsler, y[None], [[1.0, 0, 0, 0]], [0.0])
+    assert chk.deviation[0] == 0.0
 
 
 @pytest.mark.parametrize("h_label,t", [("H1", 0.3), ("W", 0.7)])
 def test_equivariance_along_named_generators(s7, finsler, h_label, t):
-    h = s7.space.h_coords(s7.algebra.basis_vector(h_label))
-    for y in unit_m_samples(s7.space, 10, seed=163):
-        chk = check_equivariance(finsler, y, h, t)
-        assert chk.unique_source and chk.unique_transported
-        assert chk.deviation < 1e-8
+    h = s7.space.coerce_h(s7.algebra.basis_vector(h_label))
+    y = unit_m_samples(s7.space, 10, seed=163)
+    chk = check_equivariance_batch(finsler, y, np.tile(h, (10, 1)),
+                                   np.full(10, t))
+    assert chk.unique_source.all() and chk.unique_transported.all()
+    assert np.all(chk.deviation < 1e-8)
 
 
 def test_equivariance_reports_degenerate_points(round_metric):
     y = np.zeros(7)
     y[0] = 1.0  # no Z-part: the solved correction is 0 on both sides
-    chk = check_equivariance(round_metric, y, np.array([1.0, 0, 0, 0]), 0.4)
-    assert not chk.unique_source
-    assert chk.deviation < 1e-12
+    chk = check_equivariance_batch(round_metric, y[None], [[1.0, 0, 0, 0]],
+                                   [0.4])
+    assert not chk.unique_source[0]
+    assert chk.deviation[0] < 1e-12
 
 
 # -- scans -------------------------------------------------------------------------
@@ -223,9 +230,7 @@ def test_scan_is_deterministic(finsler):
     r1 = go_property_scan(finsler, 50, seed=9)
     r2 = go_property_scan(finsler, 50, seed=9)
     assert list(r1.to_csv_lines()) == list(r2.to_csv_lines())
-    buf = io.StringIO()
-    r1.write_csv(buf)
-    header = buf.getvalue().splitlines()[0]
+    header = next(r1.to_csv_lines())
     assert header == "X1,X2,X3,X4,Z1,Z2,Z3,residual"
 
 

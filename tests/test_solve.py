@@ -30,13 +30,17 @@ def _metrics(s7):
     }
 
 
+_BANDS = {"near": (-6.0, -2.0), "close": (-10.0, -9.0), "edge": (-12.0, -8.0)}
+
+
 def _draw(rng, n, kind):
     """Unit directions scaled over 1e-150..1e150; near-stratum rows have
-    |x|/|y| log-uniform in [1e-6, 1e-2], edge rows in [1e-12, 1e-8] (where
-    the rank rule flips), on-stratum rows x = 0."""
+    |x|/|y| log-uniform in [1e-6, 1e-2], close rows in [1e-10, 1e-9] (the
+    certificate fails, the rank is mostly full), edge rows in [1e-12, 1e-8]
+    (where the rank rule flips), on-stratum rows x = 0."""
     y = rng.standard_normal((n, 7))
-    if kind in ("near", "edge"):
-        lo, hi = (-6.0, -2.0) if kind == "near" else (-12.0, -8.0)
+    if kind in _BANDS:
+        lo, hi = _BANDS[kind]
         ratio = 10.0 ** rng.uniform(lo, hi, n)
         y[:, :4] *= (ratio * np.linalg.norm(y[:, 4:], axis=1)
                      / np.linalg.norm(y[:, :4], axis=1))[:, None]
@@ -120,6 +124,22 @@ def test_qr_is_closer_to_the_closed_form_than_the_svd_near_the_stratum(s7):
     svd = _svd_reference(*assemble(s7.space, y, c))[0] / norm[:, None]
     assert np.abs(qr - exact).max() <= 1e-14
     assert np.abs(svd - exact).max() > 1e-12
+
+
+@pytest.mark.parametrize("name", ["sq_sum", "sum_sq"])
+def test_full_rank_rows_just_off_the_stratum_keep_the_qr_solution(s7, name):
+    # uncertified rows that the SVD still counts full rank: the SVD's xi is
+    # up to ~1e-6 |y| from the closed form there, R^-1 Q^T b is not
+    metric = _metrics(s7)[name]
+    y = _draw(np.random.default_rng(419), 3000, "close")
+    c = metric.c_coefficients(y)
+    batch = solve_batch(s7.space, y, c)
+    norm = np.linalg.norm(y, axis=1)
+    exact = closed_form_xi(y / norm[:, None], c)[:, s7.space.h_indices]
+    unique = batch.unique
+    assert 0 < np.count_nonzero(unique) < len(y)
+    assert np.abs(batch.xi[unique] / norm[unique, None]
+                  - exact[unique]).max() <= 1e-12
 
 
 def test_mixed_batches_equal_batches_of_one_bit_for_bit(s7):
