@@ -339,7 +339,9 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T) -> EquivarianceChec
         raise ValueError(
             "transport does not preserve m; h does not act invariantly")
     src = _solve(space, Y, metric.c_coefficients(Y))
-    dst = _solve(space, y_moved[:, m], metric.c_coefficients(y_moved[:, m]))
+    # coerce_m's contiguous copy makes each row round as it does alone
+    y_dst = space.coerce_m(y_moved[:, m])
+    dst = _solve(space, y_dst, metric.c_coefficients(y_dst))
     xi_moved = (ad_exp @ space.embed_h(src.xi)[..., None])[..., 0]
     xi_moved[:, m] = 0.0
     diff = space.embed_h(dst.xi) - xi_moved

@@ -181,10 +181,10 @@ class ReductiveSpace:
     def alpha_norm(self, v):
         """Norm of the m-part of v in the unweighted block products.
 
-        A batch ``[N, n]`` gives one norm per row.
+        A batch ``[N, n]`` gives one norm per row; input is checked as by
+        :meth:`coerce_m`, with the zero vector allowed.
         """
-        v = np.asarray(v, dtype=float)
-        vm = v[..., self.m_indices] if v.shape[-1] == self.dim else v
+        vm = self.coerce_m(v, allow_zero=True)
         quad = (vm[..., None, :] @ self._gram) @ vm[..., :, None]
         return np.sqrt(quad[..., 0, 0])
 
@@ -202,7 +202,8 @@ class ReductiveSpace:
         """Run all numeric invariants and report per-check worst violations.
 
         Tolerances are fixed: 1e-12 for the structural bracket conditions,
-        1e-10 for the metric-invariance condition.
+        1e-10 for the metric-invariance condition, and 1e-12 max(1, max|c|)^2
+        for the Jacobi identity, which is quadratic in the constants c.
         """
         c, h, m = self.alg.structure, self.h_indices, self.m_indices
         gram = self._gram
@@ -218,6 +219,8 @@ class ReductiveSpace:
         }
         min_eig = min((float(np.linalg.eigvalsh(a).min()) for a in self.alpha),
                       default=np.inf)
+        scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+        jac = self.alg.check_jacobi(STRUCTURAL_TOL * scale ** 2)
 
         def bounded(name, tol):
             return Check(name, bool(worst[name] <= tol), float(worst[name]), tol)
@@ -228,6 +231,7 @@ class ReductiveSpace:
             bounded("alpha_symmetry", STRUCTURAL_TOL),
             Check("alpha_positive_definite", min_eig > 0.0, min_eig, 0.0),
             bounded("invariance", INVARIANCE_TOL),
+            Check("jacobi", jac.passed, jac.max_violation, jac.tol),
         ))
 
     # -- serialization -----------------------------------------------------------

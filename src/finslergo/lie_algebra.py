@@ -152,7 +152,8 @@ class LieAlgebra:
         total = (term
                  + np.einsum("jkm,mil->ijkl", c, c)
                  + np.einsum("kim,mjl->ijkl", c, c))
-        return JacobiReport(max_violation=float(np.abs(total).max()), tol=tol)
+        return JacobiReport(max_violation=float(np.abs(total).max(initial=0.0)),
+                            tol=tol)
 
     # -- serialization -----------------------------------------------------
 

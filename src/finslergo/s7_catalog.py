@@ -2,11 +2,13 @@
 
 The 11-dimensional algebra sp(2) + u(1) is constructed from an explicit
 4 x 4 complex (quaternionic 2 x 2) matrix model: structure constants are
-derived from commutators at build time rather than typed by hand, then
-cross-checked against the prescribed plane-rotation patterns of the
-isotropy operators.  Basis order is X1..X4, Z1, Z2, Z3 | H1, H2, H3, W
-with invariant blocks m1 = span(X1..X4), m2 = span(Z1), m3 = span(Z2, Z3)
-and identity base products.
+derived from commutators at build time rather than typed by hand.  The
+build only derives: the tests check the result (Jacobi, the prescribed
+plane-rotation patterns of the isotropy operators, the realization's
+brackets), and ``verify-s7`` checks Jacobi and the patterns.  Basis order
+is X1..X4, Z1, Z2, Z3 | H1, H2, H3, W with invariant blocks
+m1 = span(X1..X4), m2 = span(Z1), m3 = span(Z2, Z3) and identity base
+products.
 
 The closed-form geodesic graph for positive block weights (c1, c2, c3) is
 shipped as the oracle against which the generic solver is verified.
@@ -101,21 +103,15 @@ class S7Space:
 
 @lru_cache(maxsize=1)
 def build_s7_space() -> S7Space:
-    """Construct the catalog space; every consistency check aborts on failure.
+    """Derive the catalog space and its sphere realization.
 
-    The returned object is cached and must be treated as immutable.
+    Only the derivation is guarded: a commutator that leaves the span of the
+    basis or has non-integer coefficients raises ``RuntimeError``, since
+    rounding is what makes the structure constants exact.  The derived
+    catalog is checked by the tests and by ``verify-s7``, not here.  The
+    returned object is cached and must be treated as immutable.
     """
     sp2 = _complex_basis()
-    conj_swap = np.zeros((4, 4), dtype=complex)
-    conj_swap[0, 1] = conj_swap[2, 3] = -1.0
-    conj_swap[1, 0] = conj_swap[3, 2] = 1.0
-    for what, lhs, rhs in (
-            ("skew-Hermitian", sp2.conj().transpose(0, 2, 1), -sp2),
-            ("quaternionic", sp2 @ conj_swap, conj_swap @ sp2.conj())):
-        ok = np.isclose(lhs, rhs, atol=1e-14).all(axis=(1, 2))
-        if not ok.all():
-            raise RuntimeError(
-                f"matrix model of {LABELS[np.argmin(ok)]} is not {what}")
 
     def flat(m):
         return np.concatenate([m.real, m.imag], axis=-2).reshape(-1, 32).T
@@ -145,57 +141,29 @@ def build_s7_space() -> S7Space:
         if i < j:
             brackets.setdefault((i, j), {})[k] = c[i, j, k]
     alg = LieAlgebra(LABELS, brackets)
-
-    jac = alg.check_jacobi(tol=1e-12)
-    if not jac.passed:
-        raise RuntimeError(f"Jacobi identity violated: {jac.max_violation}")
-    if _ad_pattern_deviation(alg) != 0.0:
-        raise RuntimeError("restricted adjoints of h are off-pattern or "
-                           "do not preserve m")
-    if not np.array_equal(alg.structure[10, :7, :7], alg.structure[4, :7, :7]):
-        raise RuntimeError("W does not act on m like the Z1 adjoint")
-
     space = ReductiveSpace(
         alg,
         h=list(H_LABELS),
         blocks=[["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]],
     )
-    failed = space.validate().failed()
-    if failed:
-        raise RuntimeError(f"reductive-space checks failed: {failed}")
 
     # 8 x 8 real realization; the extra u(1) direction realizes W as the
     # Z1 matrix shifted by -i * identity so that it annihilates the base point
     reals = _realify(np.concatenate([sp2, sp2[4:5] - 1j * np.eye(4)]))
     base_point = np.zeros(8)
     base_point[2] = 1.0
-    moved = np.abs(reals[7:] @ base_point).max(axis=1)
-    if moved.max() > 1e-14:
-        raise RuntimeError(f"isotropy generator {H_LABELS[np.argmax(moved)]}"
-                           " moves the base point")
-    comm = reals[:, None] @ reals[None] - reals[None] @ reals[:, None]
-    off = np.abs(comm - np.einsum("ijk,kab->ijab", alg.structure, reals))
-    if off.max() > 1e-12:
-        i, j = np.argwhere(off.max(axis=(2, 3)) > 1e-12)[0]
-        raise RuntimeError(
-            f"realization breaks brackets at ({LABELS[i]}, {LABELS[j]})")
-
     return S7Space(space=space,
                    realization=MatrixRealization(reals, base_point))
 
 
-def _ad_pattern_deviation(alg: LieAlgebra) -> float:
+def ad_pattern_deviation(s7: S7Space | None = None) -> float:
     """Worst entry deviation of the restricted adjoints of h from their
     patterns, and of their components leaving m."""
+    alg = (s7 or build_s7_space()).algebra
     patterns = isotropy_operator_patterns()
     ad = alg.structure[[alg.index(lab) for lab in patterns]].transpose(0, 2, 1)
     pattern_off = np.abs(ad[:, :7, :7] - np.stack(list(patterns.values())))
     return float(max(pattern_off.max(), np.abs(ad[:, 7:, :7]).max()))
-
-
-def ad_pattern_deviation(s7: S7Space | None = None) -> float:
-    """Worst entry deviation of the restricted adjoints from their patterns."""
-    return _ad_pattern_deviation((s7 or build_s7_space()).algebra)
 
 
 @dataclass(frozen=True)

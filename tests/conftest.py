@@ -44,3 +44,15 @@ def unit_m_samples(space, n, seed):
         v = rng.standard_normal(space.dim_m)
         out[i] = v / np.sqrt(v @ gram @ v)
     return out
+
+
+def non_lie_document(s7):
+    """The catalog document with [Z1, Z2] = 3 Z3 instead of 2 Z3: every
+    other check still passes, but the bracket violates Jacobi."""
+    doc = s7.space.to_json_dict()
+    z1, z2, z3 = (s7.algebra.index(lab) for lab in ("Z1", "Z2", "Z3"))
+    for entry in doc["algebra"]["brackets"]:
+        if (entry["i"], entry["j"]) == (z1, z2):
+            assert entry["coeffs"] == {str(z3): 2.0}
+            entry["coeffs"] = {str(z3): 3.0}
+    return doc

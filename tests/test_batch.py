@@ -111,6 +111,25 @@ def test_equivariance_batch_agrees_with_single_checks(s7):
         assert batch.unique_transported[i] == one.unique_transported[0]
 
 
+def test_equivariance_rows_equal_batches_of_one_bit_for_bit(s7):
+    # the 100 draws of acceptance criterion 7; the transported rows must be
+    # solved as the batch of one solves them, not at a strided view
+    metric = _s7_metrics(s7)["sq_sum"]
+    rng = np.random.default_rng(239)
+    y, h, t = np.empty((100, 7)), np.empty((100, 4)), np.empty(100)
+    for i in range(100):
+        v = rng.standard_normal(7)
+        y[i] = v / s7.space.alpha_norm(v)
+        h[i] = rng.standard_normal(4)
+        t[i] = rng.uniform(-1.0, 1.0)
+    batch = check_equivariance_batch(metric, y, h, t)
+    ones = [check_equivariance_batch(metric, y[i:i + 1], h[i:i + 1],
+                                     t[i:i + 1]) for i in range(100)]
+    for field in ("deviation", "unique_source", "unique_transported"):
+        one = np.concatenate([getattr(o, field) for o in ones])
+        assert np.array_equal(getattr(batch, field), one), field
+
+
 # -- the closed form over rows -------------------------------------------------
 
 def test_closed_form_rows_equal_single_calls_including_x_zero(s7):

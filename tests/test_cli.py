@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from finslergo import MetricFamily, geodesic_residual, riemannian_metric
 from finslergo.cli import main
+from conftest import non_lie_document
 
 
 def run(capsys, *argv):
@@ -280,6 +281,19 @@ def test_space_document_breaking_invariance_exits_2(s7, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "invariance" in err
+
+
+def test_space_document_breaking_jacobi_exits_2(s7, tmp_path, capsys):
+    doc = non_lie_document(s7)
+    doc["family_a"] = [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]]
+    space_file = tmp_path / "non_lie.json"
+    space_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "graph", "--space", str(space_file),
+                         "--l", "sq_sum:1,3",
+                         "--y", "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8")
+    assert code == 2
+    assert out == ""
+    assert "jacobi" in err
 
 
 def test_missing_space_file(capsys):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from finslergo import (Check, LieAlgebra, MetricFamily, ReductiveSpace, Report,
                        load_space_document)
-from conftest import family_gram, family_product
+from conftest import family_gram, family_product, non_lie_document
 
 
 def loop_worst(space):
@@ -88,7 +88,7 @@ def test_validate_worst_values_match_reference_loops(s7):
             assert report[name].passed == (worst <= report[name].tol)
     assert [c.name for c in report.checks] == [
         "subalgebra", "reductivity", "alpha_symmetry",
-        "alpha_positive_definite", "invariance"]
+        "alpha_positive_definite", "invariance", "jacobi"]
     assert report.failed() == ["alpha_symmetry", "invariance"]
 
 
@@ -113,6 +113,42 @@ def test_load_space_document_validates(s7):
     doc["alpha"][2] = [1.0, 0.5, 0.0, 1.0]
     with pytest.raises(ValueError, match="alpha_symmetry"):
         load_space_document(doc)
+
+
+def test_validate_checks_jacobi(s7):
+    assert s7.space.validate()["jacobi"].worst == 0.0
+    doc = non_lie_document(s7)
+    report = ReductiveSpace.from_json_dict(doc).validate()
+    assert report.failed() == ["jacobi"]
+    assert report["jacobi"].worst == 2.0
+    with pytest.raises(ValueError, match="jacobi"):
+        load_space_document(doc)
+    # the zero algebra has no basis triple and passes
+    assert ReductiveSpace(LieAlgebra([], {}), h=[], blocks=[]).validate().passed
+
+
+def test_jacobi_tolerance_scales_with_the_constants(s7):
+    # scaling every constant by 1e3 scales the Jacobi sums by 1e6, and the
+    # tolerance with them; the scaled catalog is still exactly Lie
+    doc = s7.space.to_json_dict()
+    for entry in doc["algebra"]["brackets"]:
+        entry["coeffs"] = {k: 1e3 * v for k, v in entry["coeffs"].items()}
+    check = ReductiveSpace.from_json_dict(doc).validate()["jacobi"]
+    assert check.passed and check.tol == 1e-12 * 4e6
+
+
+def test_alpha_norm_validates_its_input(s7):
+    space = s7.space
+    assert space.alpha_norm(np.zeros(7)) == 0.0
+    assert_allclose(space.alpha_norm(np.ones((3, 11)) * (np.arange(11) < 7)),
+                    np.sqrt(7.0), rtol=1e-15)
+    full = np.ones(11)
+    with pytest.raises(ValueError, match="isotropy"):
+        space.alpha_norm(full)
+    with pytest.raises(ValueError, match="finite"):
+        space.alpha_norm(np.full(7, np.nan))
+    with pytest.raises(ValueError, match="coordinates"):
+        space.alpha_norm(np.ones(5))
 
 
 def test_partition_enforced(s7):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from finslergo import (FinslerMetric, LFunction, MetricFamily,
-                       closed_form_xi, extended_matrix, geodesic_residual,
-                       k_coefficients, load_space_document, riemannian_metric,
+from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
+                       ReductiveSpace, build_s7_space, closed_form_xi,
+                       extended_matrix, geodesic_residual, k_coefficients,
+                       load_space_document, riemannian_metric,
                        solve_geodesic_graph, verify_closed_form)
-from finslergo.s7_catalog import (ad_pattern_deviation,
+from finslergo.s7_catalog import (_complex_basis, ad_pattern_deviation,
                                   extended_matrix_deviation,
                                   isotropy_operator_patterns)
 from conftest import unit_m_samples
@@ -31,6 +32,36 @@ def test_catalog_is_pinned_bit_for_bit(s7):
         data = np.ascontiguousarray(array).tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest
         assert np.count_nonzero(array) == nonzero
+
+
+@pytest.fixture
+def fresh_build():
+    """Clear the catalog cache around a test, so it builds its own."""
+    build_s7_space.cache_clear()
+    yield build_s7_space
+    build_s7_space.cache_clear()
+
+
+def test_build_only_derives(fresh_build, monkeypatch):
+    # the checks live in the tests and verify-s7; the build calls none
+    from finslergo import s7_catalog
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build must not run this check")
+
+    monkeypatch.setattr(LieAlgebra, "check_jacobi", refuse)
+    monkeypatch.setattr(ReductiveSpace, "validate", refuse)
+    monkeypatch.setattr(s7_catalog, "ad_pattern_deviation", refuse)
+    test_catalog_is_pinned_bit_for_bit(fresh_build())
+
+
+def test_matrix_model_is_skew_hermitian_and_quaternionic():
+    sp2 = _complex_basis()
+    conj_swap = np.zeros((4, 4), dtype=complex)
+    conj_swap[0, 1] = conj_swap[2, 3] = -1.0
+    conj_swap[1, 0] = conj_swap[3, 2] = 1.0
+    assert np.array_equal(sp2.conj().transpose(0, 2, 1), -sp2)
+    assert np.array_equal(sp2 @ conj_swap, conj_swap @ sp2.conj())
 
 
 def test_ad_patterns_exact(s7):
