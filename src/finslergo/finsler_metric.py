@@ -3,9 +3,12 @@
 The combiner L takes the k norms of a metric family and must satisfy five
 conditions to produce a Minkowski norm: positivity away from zero, positive
 homogeneity of degree 2, nonnegative partials, a positive semi-definite
-Hessian, and a positive sum of partials.  :func:`validate_l` samples all five
-and reports the worst witness per condition; :data:`L_CONDITIONS` describes
-them.
+Hessian, and a positive sum of partials.  :data:`L_CONDITIONS` describes
+them.  The built-in combiners (:meth:`LFunction.sum_of_squares`,
+:meth:`LFunction.squared_sum`, :func:`degree_one_sum`) record the verdict
+their form proves, and a metric accepts or rejects them by it; a custom
+combiner, or one built with ``LFunction(...)`` directly, is sampled by
+:func:`validate_l`, which reports the worst witness per condition.
 
 The fundamental tensor of F contracts against the base vector as
 ``g_y(y, v) = sum_j B_j(y) g_j(y, v) = sum_i C_i(y) alpha_i(y, v)`` with
@@ -24,6 +27,7 @@ GRAD_CHECK_TOL = 1e-6
 HOMOGENEITY_TOL = 1e-10
 PARTIAL_TOL = 1e-12
 HESSIAN_TOL = 1e-8
+HESSIAN_STEP = 1e-4
 
 L_CONDITIONS = {
     "i": "positive away from zero",
@@ -44,6 +48,10 @@ class LFunction:
 
     Built-in kinds evaluate a batch ``u[N, k]`` row by row in one array
     expression; custom callables are called once per row.
+
+    ``form_failures`` holds the names of the conditions the combiner's form
+    fails, as the built-in constructors record them, or None when nothing
+    is known and only :func:`validate_l` can tell.
     """
 
     def __init__(self, kind: str, arity: int, value, grad):
@@ -53,24 +61,39 @@ class LFunction:
             raise ValueError("arity must be at least 1")
         self._value = value
         self._grad = grad
+        self.form_failures = None
 
     # -- built-in kinds ------------------------------------------------------
 
     @classmethod
+    def _of_form(cls, kind, w, value, grad, failures) -> "LFunction":
+        lf = cls(kind, len(w), value, grad)
+        lf.form_failures = failures
+        return lf
+
+    @classmethod
     def sum_of_squares(cls, weights) -> "LFunction":
-        """L(u) = sum_j w_j u_j^2 with positive weights."""
+        """L(u) = sum_j w_j u_j^2 with positive weights.
+
+        Fails no condition: the gradient 2 w u is nonnegative and the
+        Hessian diag(2 w) is positive definite.
+        """
         w = _positive_weights(weights)
-        return cls("sum_sq", len(w),
-                   lambda u: _rowdot(u * u, w),
-                   lambda u: 2.0 * w * u)
+        return cls._of_form("sum_sq", w,
+                            lambda u: _rowdot(u * u, w),
+                            lambda u: 2.0 * w * u, ())
 
     @classmethod
     def squared_sum(cls, weights) -> "LFunction":
-        """L(u) = (sum_j w_j u_j)^2 with positive weights."""
+        """L(u) = (sum_j w_j u_j)^2 with positive weights.
+
+        Fails no condition: the gradient 2 (w.u) w is nonnegative and the
+        Hessian 2 w w^T is positive semi-definite.
+        """
         w = _positive_weights(weights)
-        return cls("sq_sum", len(w),
-                   lambda u: _rowdot(u, w) ** 2,
-                   lambda u: 2.0 * _rowdot(u, w)[..., None] * w)
+        return cls._of_form("sq_sum", w,
+                            lambda u: _rowdot(u, w) ** 2,
+                            lambda u: 2.0 * _rowdot(u, w)[..., None] * w, ())
 
     @classmethod
     def custom(cls, value, grad, arity: int) -> "LFunction":
@@ -117,13 +140,14 @@ class LFunction:
 def degree_one_sum(weights) -> LFunction:
     """L(u) = sum_j w_j u_j: a plain weighted sum, degree 1, not degree 2.
 
-    Useful as a falsifier: it breaks the homogeneity condition of
-    :func:`validate_l` while the remaining conditions hold.
+    Useful as a falsifier: it fails exactly the homogeneity condition (ii),
+    while the gradient w is positive and the Hessian is zero.
     """
     w = _positive_weights(weights)
-    return LFunction("sum", len(w),
-                     lambda u: _rowdot(u, w),
-                     lambda u: np.broadcast_to(w, u.shape).copy())
+    return LFunction._of_form("sum", w,
+                              lambda u: _rowdot(u, w),
+                              lambda u: np.broadcast_to(w, u.shape).copy(),
+                              ("ii",))
 
 
 def _per_row(fn):
@@ -152,7 +176,7 @@ def _grad_deviation(lf: LFunction, u, step: float = 1e-6) -> float:
     return float(np.abs(fd - g).max() / max(1.0, np.abs(g).max()))
 
 
-def _fd_hessian(lf: LFunction, u, step: float = 1e-4) -> np.ndarray:
+def _fd_hessian(lf: LFunction, u, step: float = HESSIAN_STEP) -> np.ndarray:
     """Symmetrised central-difference Hessian at u, or at each row of u."""
     h = np.empty(u.shape + (lf.arity,))
     for i, e in enumerate(step * np.eye(lf.arity)):
@@ -175,11 +199,17 @@ def validate_l(lf: LFunction, sample_count: int = 200,
     (i) L(u) > 0 away from 0, including orthant-boundary points;
     (ii) L(t*u) = t^2 L(u) for t in {0.5, 2, 10}, relative tol 1e-10;
     (iii) every partial derivative >= -1e-12;
-    (iv) min eigenvalue of the Hessian >= -1e-8;
+    (iv) min eigenvalue of the central-difference Hessian >= -tol, with
+    tol = max(1e-8, k (k + 2) eps max|grad L(u)| / step) per sample: the
+    second term bounds the roundoff of the difference quotient, about
+    eps |grad L| / step per entry, which exceeds 1e-8 at large gradients;
     (v) the sum of partials > 0.
     Boundary points are the first 16 samples with one coordinate, drawn
     after all samples, set to zero.  A witness is the first sample at the
-    worst value; (ii) has none when no sample deviates at all.
+    worst value; (ii) has none when no sample deviates at all.  The worst
+    value of (iv) is the smallest eigenvalue among the samples that fail
+    their tol, or among all samples when none fails, and its tol is that
+    sample's.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
@@ -196,25 +226,37 @@ def validate_l(lf: LFunction, sample_count: int = 200,
     deviation = np.abs(scaled - target) / np.maximum(np.abs(target), 1e-300)
     grads = lf.grad(points)
     hessian_eig = np.linalg.eigvalsh(_fd_hessian(lf, points)).min(axis=1)
+    hessian_tol = np.fmax(HESSIAN_TOL, k * (k + 2) * np.finfo(float).eps
+                          * np.abs(grads).max(axis=1) / HESSIAN_STEP)
+    hessian_fails = ~(hessian_eig >= -hessian_tol)
+    if hessian_fails.any():  # the worst among the failing samples
+        hessian_eig = np.where(hessian_fails, hessian_eig, np.inf)
+    hes, hes_wit = _worst_row(hessian_eig, points, np.argmin)
+    hes_tol = float(hessian_tol[np.argmin(hessian_eig)])
 
     pos, pos_wit = _worst_row(np.concatenate([values, lf.value(faces)]),
                               np.concatenate([points, faces]), np.argmin)
     hom, hom_wit = _worst_row(deviation.max(axis=1), points, np.argmax)
     par, par_wit = _worst_row(grads.min(axis=1), points, np.argmin)
-    hes, hes_wit = _worst_row(hessian_eig, points, np.argmin)
     total, sum_wit = _worst_row(grads.sum(axis=1), points, np.argmin)
     return Report((
         Check("i", pos > 0.0, pos, 0.0, pos_wit),
         Check("ii", hom <= HOMOGENEITY_TOL, hom, HOMOGENEITY_TOL,
               hom_wit if hom > 0.0 else ()),
         Check("iii", par >= -PARTIAL_TOL, par, PARTIAL_TOL, par_wit),
-        Check("iv", hes >= -HESSIAN_TOL, hes, HESSIAN_TOL, hes_wit),
+        Check("iv", not hessian_fails.any(), hes, hes_tol, hes_wit),
         Check("v", total > 0.0, total, 0.0, sum_wit),
     ))
 
 
 class FinslerMetric:
-    """F(y) = sqrt(L(sqrt(g_1(y,y)), ..., sqrt(g_k(y,y)))) on m."""
+    """F(y) = sqrt(L(sqrt(g_1(y,y)), ..., sqrt(g_k(y,y)))) on m.
+
+    A combiner that fails a Minkowski-norm condition raises ``ValueError``
+    unless ``unchecked``.  A built-in combiner is judged by the verdict its
+    form records (``lf.form_failures``); any other is sampled by
+    ``validate_l(lf, 64, seed=0)``.
+    """
 
     def __init__(self, family: MetricFamily, lf: LFunction,
                  unchecked: bool = False):
@@ -225,11 +267,13 @@ class FinslerMetric:
         self.family = family
         self.lf = lf
         if not unchecked:
-            report = validate_l(lf, sample_count=64, seed=0)
-            if not report.passed:
+            failed = lf.form_failures
+            if failed is None:
+                failed = validate_l(lf, sample_count=64, seed=0).failed()
+            if failed:
                 raise ValueError(
                     "combiner fails Minkowski-norm conditions "
-                    f"{report.failed()}; pass unchecked=True "
+                    f"{list(failed)}; pass unchecked=True "
                     "to construct anyway")
 
     @property
@@ -250,11 +294,16 @@ class FinslerMetric:
     def _b(self, ym: Vector) -> Vector:
         with np.errstate(over="ignore", invalid="ignore"):
             u = self._norms(ym)
-        if not np.all((u > 0.0) & (u < np.inf)):
+            if not np.all((u > 0.0) & (u < np.inf)):
+                raise np.linalg.LinAlgError(
+                    "the criterion system is not finite: the squared norm "
+                    "of y overflows or underflows")
+            b = self.lf.grad(u) / (2.0 * u)
+        if not np.isfinite(b).all():
             raise np.linalg.LinAlgError(
-                "the criterion system is not finite: the squared norm of y "
-                "overflows or underflows")
-        return self.lf.grad(u) / (2.0 * u)
+                "the criterion system is not finite: the combiner's "
+                "gradient overflows")
+        return b
 
     def _c(self, ym: Vector) -> Vector:
         """C of m-coordinates that :meth:`ReductiveSpace.coerce_m` returned."""
@@ -308,8 +357,7 @@ def riemannian_metric(space, block_weights) -> FinslerMetric:
     """Single-metric family with L = u^2: F is the norm of sum_i w_i alpha_i."""
     family = MetricFamily(space, np.atleast_2d(np.asarray(block_weights,
                                                           dtype=float)))
-    return FinslerMetric(family, LFunction.sum_of_squares([1.0]),
-                         unchecked=True)
+    return FinslerMetric(family, LFunction.sum_of_squares([1.0]))
 
 
 def l_function_from_spec(doc) -> LFunction:

@@ -111,8 +111,9 @@ def _min_norm_solve(a_mat, b_vec):
     it gets xi = R^-1 Q^T b.  Every other row takes its rank from
     :func:`_svd_solve`, and keeps the QR xi when that rank is full and the
     QR xi is finite: just off the x = 0 stratum R^-1 Q^T b is far closer
-    to the solution than the SVD's xi.  When dim_m < dim_h, every row
-    takes :func:`_svd_solve`.
+    to the solution than the SVD's xi.  When dim_m < dim_h, or when every
+    row has a zero pivot or a non-finite R (a stack on the x = 0 stratum),
+    every row takes :func:`_svd_solve`.
     """
     n, m, h = a_mat.shape
     if h == 0:
@@ -127,6 +128,8 @@ def _min_norm_solve(a_mat, b_vec):
     except np.linalg.LinAlgError:  # an exactly zero pivot, as at x = 0
         bad = ~((np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 0)
                 & np.isfinite(r).all(axis=(1, 2)))
+        if bad.all():
+            return _svd_solve(a_mat, b_vec)
         # the other rows get the same inputs again, and so the same bits
         r_inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(h), r))
         r_inv[bad] = np.nan  # fails the certificate

@@ -300,7 +300,8 @@ def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
 
 @lru_cache(maxsize=1)
 def _equivariance_metric() -> FinslerMetric:
-    """The sq_sum:1,3 metric of the equivariance sweep, validated once."""
+    """The sq_sum:1,3 metric of the equivariance sweep, built once; its
+    built-in combiner is accepted by its form, without sampling."""
     family = MetricFamily(build_s7_space().space,
                           [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
     return FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]))

@@ -299,6 +299,21 @@ print(codes, 'scipy' in sys.modules)"""
     assert proc.stdout.strip() == "[0, 0] False"
 
 
+def test_a_built_in_metric_solves_without_numpy_random():
+    # built-in combiners are judged by their form, so nothing is sampled
+    code = """import sys, finslergo as fg
+s7 = fg.build_s7_space()
+family = fg.MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+metric = fg.FinslerMetric(family, fg.l_function_from_spec("sq_sum:1,3"))
+res = fg.solve_geodesic_graph(metric, [0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
+print(res.unique, 'numpy.random' in sys.modules)"""
+    src = os.path.dirname(os.path.dirname(finslergo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "True False"
+
+
 # -- the public names ---------------------------------------------------------------
 
 def test_all_lists_exactly_the_public_names():

@@ -83,6 +83,29 @@ def test_graph_generic_vector_unique(capsys):
     assert doc["residual"] < 1e-9
 
 
+def test_graph_accepts_large_weight_combiners_by_their_form(capsys):
+    code, out, _ = run(capsys, "graph", "--y",
+                       "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8",
+                       "--l", "sq_sum:400,80", "--family", "1,1,1;2,1,4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["rank"] == 4 and doc["unique"] is True
+    code, out, err = run(capsys, "graph", "--y",
+                         "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8",
+                         "--l", "sum:1,1", "--family", "1,1,1;2,1,4")
+    assert code == 2 and out == ""
+    assert err == ("error: combiner fails Minkowski-norm conditions ['ii']; "
+                   "pass unchecked=True to construct anyway\n")
+    # a valid form whose gradient overflows fails at the solve, without
+    # numpy warnings
+    code, out, err = run(capsys, "graph", "--y",
+                         "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8",
+                         "--l", "sq_sum:1e160,1", "--family", "1,1,1;2,1,4")
+    assert code == 2 and out == ""
+    assert err == ("error: the criterion system is not finite: the "
+                   "combiner's gradient overflows\n")
+
+
 def test_graph_zero_z_gives_zero_correction(capsys):
     code, out, _ = run(capsys, "graph", "--y", "0.5,-1.0,2.0,0.25,0,0,0")
     assert code == 0

@@ -406,6 +406,68 @@ def test_metric_rejects_invalid_combiner_unless_unchecked(s7):
     assert metric.lf is bad
 
 
+def _root_sum_fourth(u):
+    return (np.sqrt(u[..., 0]) + np.sqrt(u[..., 1])) ** 4
+
+
+def _root_sum_fourth_grad(u):
+    s = np.sqrt(u[..., 0]) + np.sqrt(u[..., 1])
+    return 2.0 * (s ** 3)[..., None] / np.sqrt(u)
+
+
+@pytest.mark.parametrize("kind, verdict", [("sum_sq", ()), ("sq_sum", ()),
+                                           ("sum", ("ii",))])
+def test_built_in_verdicts_agree_with_sampling(kind, verdict):
+    rng = np.random.default_rng(421)
+    for k in (1, 2, 3):
+        for seed in range(4):
+            weights = list(rng.uniform(0.1, 10.0, k))
+            lf = l_function_from_spec({"kind": kind, "weights": weights})
+            assert lf.form_failures == verdict
+            assert list(verdict) == validate_l(lf, 64, seed=seed).failed()
+
+
+def test_combiners_without_a_verdict_are_sampled_at_construction(
+        s7, monkeypatch):
+    # (sqrt u1 + sqrt u2)^4 has degree 2 but is not convex; a combiner built
+    # directly gets no verdict, whatever its kind string says
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    direct = LFunction("sum_sq", 2, _root_sum_fourth, _root_sum_fourth_grad)
+    custom = LFunction.custom(_root_sum_fourth, _root_sum_fourth_grad, 2)
+    assert direct.form_failures is None and custom.form_failures is None
+    for lf in (direct, custom):
+        with pytest.raises(ValueError, match=r"conditions \['iv'\]"):
+            FinslerMetric(family, lf)
+    from finslergo import finsler_metric
+    calls = []
+    monkeypatch.setattr(finsler_metric, "validate_l",
+                        lambda *args, **kwargs: calls.append(args))
+    FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]))
+    riemannian_metric(s7.space, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=r"conditions \['ii'\]"):
+        FinslerMetric(family, degree_one_sum([1.0, 1.0]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["sq_sum:400,80", "sq_sum:962.19,767.38",
+                                  "sum_sq:5000,3000"])
+def test_large_weight_combiners_pass_the_hessian_check(spec):
+    # the difference quotient's roundoff grows with |grad L|; the (iv) tol
+    # grows with it, and stays 1e-8 where the roundoff is below that
+    report = validate_l(l_function_from_spec(spec), 200, seed=0)
+    assert report.passed
+    assert report["iv"].tol > 1e-8
+    assert report["iv"].worst >= -report["iv"].tol
+
+
+def test_a_non_convex_degree_two_combiner_still_fails_the_hessian_check():
+    lf = LFunction.custom(_root_sum_fourth, _root_sum_fourth_grad, 2)
+    report = validate_l(lf, 200, seed=0)
+    assert report.failed() == ["iv"]
+    assert report["iv"].tol == 1e-8
+    assert -257.0 < report["iv"].worst < -255.0
+
+
 def test_l_spec_parsing():
     assert l_function_from_spec("sum_sq:1,2").kind == "sum_sq"
     assert l_function_from_spec({"kind": "sq_sum", "weights": [1, 3]}).arity == 2

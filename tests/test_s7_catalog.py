@@ -268,20 +268,24 @@ def test_closed_form_solves_finsler_systems_too(s7):
 
 
 def test_equivariance_sweep_validates_its_metric_once(monkeypatch):
+    # built once, and accepted by its combiner's form without sampling
     from finslergo import finsler_metric, s7_catalog
-    calls = []
-    real = finsler_metric.validate_l
+    calls, built = [], []
+    real_init = finsler_metric.FinslerMetric.__init__
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
 
-    monkeypatch.setattr(finsler_metric, "validate_l", counted)
+    monkeypatch.setattr(finsler_metric, "validate_l",
+                        lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(finsler_metric.FinslerMetric, "__init__",
+                        counted_init)
     s7_catalog._equivariance_metric.cache_clear()
     first = s7_catalog.check_equivariance_sweep(20, 0, 1e-8)
     for seed in (1, 2, 0):
         last = s7_catalog.check_equivariance_sweep(20, seed, 1e-8)
-    assert len(calls) == 1
+    assert len(calls) == 0 and len(built) == 1
     assert last == first
 
 

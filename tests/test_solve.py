@@ -173,18 +173,51 @@ def test_zero_pivots_next_to_a_non_finite_system_raise_not_finite(s7, capfd):
     assert out + err == ""
 
 
+def test_an_on_stratum_stack_goes_straight_to_the_svd(s7, round_metric,
+                                                      monkeypatch):
+    for n in (1, 5):
+        y = _draw(np.random.default_rng(409), n, "on")
+        c = round_metric.c_coefficients(y)
+        a_mat, b_vec = assemble(s7.space, y, c)
+        inverses = _counting(monkeypatch, "inv")
+        svds = _counting(monkeypatch, "svd")
+        batch = solve_batch(s7.space, y, c)
+        assert len(inverses) == 1 and svds == [(n, 7, 4)]
+        ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
+        assert np.array_equal(batch.xi, ref_xi)
+        assert np.array_equal(batch.rank, ref_rank)
+        monkeypatch.undo()
+
+
 def test_on_stratum_rows_take_the_retry_and_the_svd(s7, round_metric,
                                                     monkeypatch):
-    y = _draw(np.random.default_rng(409), 5, "on")
+    # in a mixed stack only the on-stratum rows reach the SVD
+    rng = np.random.default_rng(409)
+    y = np.vstack([_draw(rng, 3, "generic"), _draw(rng, 5, "on"),
+                   _draw(rng, 2, "near")])
     c = round_metric.c_coefficients(y)
     a_mat, b_vec = assemble(s7.space, y, c)
     inverses = _counting(monkeypatch, "inv")
     svds = _counting(monkeypatch, "svd")
     batch = solve_batch(s7.space, y, c)
     assert len(inverses) == 2 and svds == [(5, 7, 4)]
-    ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
-    assert np.array_equal(batch.xi, ref_xi)
-    assert np.array_equal(batch.rank, ref_rank)
+    on = slice(3, 8)
+    ref_xi, ref_rank = _svd_reference(a_mat[on], b_vec[on])
+    assert np.array_equal(batch.xi[on], ref_xi)
+    assert np.array_equal(batch.rank[on], ref_rank)
+    assert np.all(np.delete(batch.rank, on) == 4)
+
+
+def test_the_stratum_edge_case_is_pinned(s7):
+    # x = (1e-8, 0, 0, 0): full rank, with three singular values at |x|
+    y = np.array([[1e-8, 0.0, 0.0, 0.0, 0.3, 0.5, 0.7]])
+    c = np.array([[1.0, 2.0, 3.0]])
+    batch = solve_batch(s7.space, y, c)
+    assert batch.rank[0] == 4 and batch.unique[0]
+    assert batch.residual[0] <= 5e-16
+    exact = closed_form_xi(y, c)[:, s7.space.h_indices]
+    assert np.abs(batch.xi - exact).max() <= 1e-15
+    assert abs(batch.sigma[0, -1] - 1e-8) <= 1e-14
 
 
 def test_full_rank_batches_never_call_the_svd(s7, monkeypatch):
