@@ -55,28 +55,42 @@ class RunConfig:
         if self.tol is not None:
             self.tol = float(self.tol)
         if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise ValueError("--samples must be at least 1")
+        if self.tol is not None and not self.tol > 0:
+            raise ValueError("--tol must be positive")
+        if not np.isfinite(self.t_max):
+            raise ValueError("--t-max must be finite")
+        if self.family is not None:
+            self.family = _parse_matrix(self.family)
+        if self.y is not None:
+            self.y = _parse_coords(self.y)
 
 
 def _parse_matrix(value) -> np.ndarray:
     """Family coefficients from 'a11,a12;a21,a22' or a nested list."""
-    if isinstance(value, str):
-        rows = [r for r in value.split(";") if r.strip()]
-        value = [[float(x) for x in row.split(",")] for row in rows]
-    a = np.asarray(value, dtype=float)
+    try:
+        if isinstance(value, str):
+            rows = [r for r in value.split(";") if r.strip()]
+            value = [[float(x) for x in row.split(",")] for row in rows]
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("--family must be rows of numbers of one length, "
+                         "as in '1,1,1;2,1,4'") from None
     if a.ndim == 1:
         a = a[None, :]
     return a
 
 
 def _parse_coords(value) -> np.ndarray:
-    if isinstance(value, str):
-        value = [float(x) for x in value.split(",") if x.strip()]
-    v = np.asarray(value, dtype=float)
+    message = "--y must be a flat list of numbers, as in '1,0,0,0,0,0,0'"
+    try:
+        if isinstance(value, str):
+            value = [float(x) for x in value.split(",") if x.strip()]
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
     if v.ndim != 1:
-        raise ValueError("coordinates must form a flat list")
+        raise ValueError(message)
     return v
 
 
@@ -116,7 +130,7 @@ def _load_setup(cfg: RunConfig):
         realization = None
     lf = l_function_from_spec(cfg.l_spec)
     if cfg.family is not None:
-        family = MetricFamily(space, _parse_matrix(cfg.family))
+        family = MetricFamily(space, cfg.family)
     elif file_family is not None:
         family = file_family
     else:
@@ -169,7 +183,7 @@ def cmd_graph(cfg: RunConfig) -> int:
     if cfg.y is None:
         raise ValueError("graph requires --y coordinates")
     _, _, metric = _load_setup(cfg)
-    result = solve_geodesic_graph(metric, _parse_coords(cfg.y))
+    result = solve_geodesic_graph(metric, cfg.y)
     if cfg.fmt == "csv":
         labels = metric.space.m_labels()
         hlabels = metric.space.h_labels()
@@ -252,7 +266,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
     _, realization, metric = _load_setup(cfg)
     if realization is None:
         raise ValueError("the selected space has no matrix realization")
-    result = solve_geodesic_graph(metric, _parse_coords(cfg.y))
+    result = solve_geodesic_graph(metric, cfg.y)
     w = result.y + result.xi
     t_values = np.linspace(0.0, cfg.t_max, cfg.steps)
     points = orbit_curve(realization, w, t_values)

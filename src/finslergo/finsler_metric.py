@@ -28,6 +28,7 @@ HOMOGENEITY_TOL = 1e-10
 PARTIAL_TOL = 1e-12
 HESSIAN_TOL = 1e-8
 HESSIAN_STEP = 1e-4
+_TINY = np.finfo(float).tiny
 
 L_CONDITIONS = {
     "i": "positive away from zero",
@@ -312,11 +313,27 @@ class FinslerMetric:
     # -- evaluation ---------------------------------------------------------------
 
     def f_value(self, y) -> float:
-        """The norm F(y); positive for y != 0, positively 1-homogeneous."""
+        """The norm F(y); positive for y != 0, positively 1-homogeneous.
+
+        F(2^s y) = 2^s F(y) holds exactly: F is evaluated at y / 2^e with
+        max|y / 2^e| in [0.5, 1) and scaled back.  Where L still leaves the
+        normal range there (weights near 1e160 or 1e-300), its arguments
+        are scaled by 2^-512 or 2^512 first, as L(2^s u) = 4^s L(u).  So
+        F(y) overflows or underflows only where its own value does, and
+        numpy warns of neither.
+        """
         ym = self.space.coerce_m(y, allow_zero=True)
         if not np.any(ym):
             return 0.0
-        return float(np.sqrt(self.lf.value(self._norms(ym))))
+        e = int(np.frexp(np.abs(ym).max())[1])
+        with np.errstate(over="ignore", under="ignore"):
+            u = self._norms(np.ldexp(ym, -e))
+            sq = self.lf.value(u)
+            if not _TINY <= sq < np.inf:
+                shift = -512 if sq > 1.0 else 512
+                sq = self.lf.value(np.ldexp(u, shift))
+                e -= shift
+            return float(np.ldexp(np.sqrt(sq), e))
 
     def b_coefficients(self, y) -> Vector:
         """Per-metric weights L_j(u)/(2 u_j) at u = (sqrt(g_j(y,y)))_j.

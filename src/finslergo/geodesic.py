@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .finsler_metric import FinslerMetric
-from .lie_algebra import Check, Vector, matrix_exponential
+from .lie_algebra import Check, Vector, _Record, matrix_exponential
 
 RANK_RCOND = 1e-10
 GEODESIC_VECTOR_TOL = 1e-9
@@ -145,8 +145,7 @@ def _min_norm_solve(a_mat, b_vec):
     return xi, rank
 
 
-@dataclass(frozen=True)
-class GraphBatch:
+class GraphBatch(_Record):
     """Solved isotropy corrections, one row per base vector.
 
     ``residual`` is max |A xi - b| of each row's system, which equals the
@@ -159,7 +158,9 @@ class GraphBatch:
     xi: np.ndarray
     residual: np.ndarray
     rank: np.ndarray
-    a_mat: np.ndarray = field(repr=False, compare=False)
+    a_mat: np.ndarray
+
+    _hidden = ("a_mat",)
 
     @property
     def unique(self) -> np.ndarray:
@@ -302,14 +303,13 @@ def is_geodesic_vector(metric: FinslerMetric, w) -> Check:
         raise ValueError("vector has zero m-part; the criterion degenerates")
     residual = geodesic_residual(metric, ym, w[space.h_indices])
     residual_max = float(np.abs(residual).max(initial=0.0))
-    scale = (metric.f_value(ym) ** 2
-             * float(np.abs(space.alg.structure).max(initial=0.0)))
+    f = metric.f_value(ym)  # f * f is inf where F^2 overflows; f ** 2 raises
+    scale = f * f * float(np.abs(space.alg.structure).max(initial=0.0))
     tol = GEODESIC_VECTOR_TOL * scale
     return Check("geodesic_vector", residual_max <= tol, residual_max, tol)
 
 
-@dataclass(frozen=True)
-class EquivarianceCheck:
+class EquivarianceCheck(_Record):
     """Transport deviation and uniqueness flags, one entry per row."""
 
     deviation: np.ndarray
@@ -355,8 +355,7 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T) -> EquivarianceChec
     )
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(_Record):
     """Residuals of the solved graph over random unit-sphere samples."""
 
     max_residual: float
@@ -411,8 +410,7 @@ def go_property_scan(metric: FinslerMetric, n_samples: int,
     )
 
 
-@dataclass(frozen=True)
-class MatrixRealization:
+class MatrixRealization(_Record):
     """Faithful matrix model of the algebra plus a base point it acts on."""
 
     matrices: np.ndarray

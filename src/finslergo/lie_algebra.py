@@ -7,11 +7,21 @@ so antisymmetry of ``c`` is exact by construction.  Vectors are plain 1-D
 float arrays of coordinates in the declared basis order.  The
 :class:`Check` and :class:`Report` records that every validator returns are
 defined here, in the module all others import.
+
+Every result type of the library except ``GeodesicGraphResult`` derives
+from the private base ``_Record``, an immutable record without generated
+code.  A subclass declares its fields as class annotations, in order, and
+a default as a class attribute.  Construction takes the fields by
+position or keyword and raises ``TypeError`` on a missing or unknown one,
+then runs ``__post_init__``.  Fields named in ``_hidden`` are left out of
+``repr``, ``==`` and ``hash``, which compare the remaining fields as a
+tuple.  Assigning or deleting an attribute raises ``AttributeError``;
+``functools.cached_property`` still works, since it writes the instance
+dict directly.  Records are not dataclasses: ``dataclasses.fields``,
+``asdict`` and ``replace`` do not apply to them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,9 +29,82 @@ Vector = np.ndarray
 
 JACOBI_TOL = 1e-12
 
+_set_dict = object.__setattr__
 
-@dataclass(frozen=True)
-class Check:
+
+class _Record:
+    """Immutable record over the annotated fields of a subclass."""
+
+    _fields = ()
+    _hidden = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__",
+                                                           ()))
+        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        # a call with every field by keyword adopts the keyword dict as the
+        # instance dict; a class with a __post_init__ always binds
+        cls._all_keywords = (None if cls.__post_init__ is not
+                             _Record.__post_init__ else frozenset(cls._fields))
+
+    def __init__(self, *args, **kwargs):
+        if not args and kwargs.keys() == self._all_keywords:
+            _set_dict(self, "__dict__", kwargs)
+            return
+        _set_dict(self, "__dict__", self._bind(args, kwargs))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> dict:
+        name = cls.__qualname__
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{name}() takes {len(cls._fields)} positional "
+                            f"arguments but {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for key, value in kwargs.items():
+            if key not in cls._fields:
+                raise TypeError(
+                    f"{name}() got an unexpected keyword argument {key!r}")
+            if key in values:
+                raise TypeError(
+                    f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        missing = [f for f in cls._fields
+                   if f not in values and not hasattr(cls, f)]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: "
+                            + ", ".join(map(repr, missing)))
+        return {f: values[f] if f in values else getattr(cls, f)
+                for f in cls._fields}
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._shown)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+                + ")")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Check(_Record):
     """One named check: the worst value met, the tolerance it was held to,
     and the input where that value occurred (empty when there is none)."""
 
@@ -32,8 +115,7 @@ class Check:
     witness: tuple = ()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Record):
     """Named checks in a fixed order; passes when every check passes."""
 
     checks: tuple
@@ -53,8 +135,7 @@ class Report:
         return [c.name for c in self.checks if not c.passed]
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(_Record):
     """Worst violation of the Jacobi identity over all basis triples."""
 
     max_violation: float

@@ -16,7 +16,6 @@ shipped as the oracle against which the generic solver is verified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +25,7 @@ from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
                        criterion_residuals, solve_batch,
                        solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
-from .lie_algebra import LieAlgebra, Vector
+from .lie_algebra import LieAlgebra, Vector, _Record
 
 M_LABELS = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3")
 H_LABELS = ("H1", "H2", "H3", "W")
@@ -89,8 +88,7 @@ def _realify(m: np.ndarray) -> np.ndarray:
     return np.block([[m.real, -m.imag], [m.imag, m.real]])
 
 
-@dataclass(frozen=True)
-class S7Space:
+class S7Space(_Record):
     """The built-in reductive space together with its sphere realization."""
 
     space: ReductiveSpace
@@ -166,8 +164,7 @@ def ad_pattern_deviation(s7: S7Space | None = None) -> float:
     return float(max(pattern_off.max(), np.abs(ad[:, 7:, :7]).max()))
 
 
-@dataclass(frozen=True)
-class KCoefficients:
+class KCoefficients(_Record):
     """The three weight ratios entering the closed-form geodesic graph."""
 
     k1: float
@@ -334,8 +331,7 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ClosedFormReport:
+class ClosedFormReport(_Record):
     """Oracle equivalence of the closed form against the numeric solver."""
 
     n_samples: int

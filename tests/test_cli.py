@@ -330,3 +330,36 @@ def test_family_arity_mismatch(capsys):
                        "--family", "1,1,1", "--samples", "5")
     assert code == 2
     assert "arity" in err
+
+
+@pytest.mark.parametrize("family", ["1,1,1;2,1", "1,x,1"])
+def test_malformed_family_names_the_flag(capsys, family):
+    code, out, err = run(capsys, "graph", "--y", "1,0,0,0,0,0,0",
+                         "--family", family)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --family") and "inhomogeneous" not in err
+
+
+def test_malformed_family_in_a_config_file_names_the_flag(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": [[1, 1, 1], [2, 1]]}))
+    code, _, err = run(capsys, "scan", "--config", str(cfg), "--samples", "5")
+    assert code == 2 and err.startswith("error: --family")
+
+
+@pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])
+def test_non_finite_t_max_is_rejected_before_the_solve(capsys, monkeypatch,
+                                                       t_max):
+    import finslergo.cli as cli
+    monkeypatch.setattr(cli, "solve_geodesic_graph", None)  # never reached
+    code, out, err = run(capsys, "orbit", "--y", "1,0,0,0,0,0,0",
+                         f"--t-max={t_max}")
+    assert code == 2 and out == ""
+    assert err == "error: --t-max must be finite\n"
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--y", "1,a,0,0,0,0,0"], "--y"), (["--tol", "nan"], "--tol")])
+def test_malformed_numbers_name_the_flag(capsys, flags, flag):
+    code, _, err = run(capsys, "graph", "--y", "1,0,0,0,0,0,0", *flags)
+    assert code == 2 and err.startswith(f"error: {flag} ")

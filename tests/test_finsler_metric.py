@@ -220,6 +220,50 @@ def test_f_positively_homogeneous(scale, seed):
                     rtol=1e-12)
 
 
+
+SCALE_SPECS = ["sq_sum:1,3", "sum_sq:1,1", "sq_sum:962.19,767.38",
+               "sum_sq:0.3,7"]
+QUICK_Y = np.array([0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
+
+
+def _quick_start_metric(s7, spec):
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    return FinslerMetric(family, l_function_from_spec(spec))
+
+
+@pytest.mark.parametrize("spec", SCALE_SPECS)
+def test_f_is_the_unscaled_formula_where_that_is_finite(s7, spec):
+    metric = _quick_start_metric(s7, spec)
+    rng = np.random.default_rng(21)
+    ys = (rng.standard_normal((1000, 7))
+          * 10.0 ** rng.uniform(-100, 100, (1000, 1)))
+    direct = [float(np.sqrt(metric.lf.value(metric._norms(y)))) for y in ys]
+    assert [metric.f_value(y) for y in ys] == direct
+
+
+@pytest.mark.parametrize("spec", SCALE_SPECS)
+def test_f_scales_exactly_by_powers_of_two(s7, spec):
+    metric = _quick_start_metric(s7, spec)
+    f = metric.f_value(QUICK_Y)
+    for k in range(-900, 900):
+        assert metric.f_value(np.ldexp(QUICK_Y, k)) == np.ldexp(f, k)
+    for scale in (1e300, 1e-300):
+        value = metric.f_value(scale * QUICK_Y)
+        assert np.isfinite(value) and value > 0.0
+        assert_allclose(value, scale * f, rtol=1e-14)
+
+
+@pytest.mark.parametrize("spec, exact", [
+    ("sq_sum:1e160,1", lambda u: 1e160 * u[0] + u[1]),
+    ("sq_sum:1e-300,1e-300", lambda u: 1e-300 * (u[0] + u[1])),
+    ("sum_sq:1e300,1", lambda u: np.sqrt(1e300) * u[0]),
+    ("sum_sq:1e-300,1", lambda u: u[1])])
+def test_f_is_finite_for_extreme_weights(s7, spec, exact):
+    metric = _quick_start_metric(s7, spec)
+    u = metric._norms(QUICK_Y)
+    assert_allclose(metric.f_value(QUICK_Y), exact(u), rtol=1e-15)
+
+
 # -- expansion coefficients ----------------------------------------------------------
 
 def test_b_constant_for_sum_of_squares(s7):
