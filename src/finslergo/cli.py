@@ -20,7 +20,7 @@ from .finsler_metric import (L_CONDITIONS, FinslerMetric, l_function_from_spec,
 from .geodesic import (float_repr, go_property_scan, orbit_curve,
                        solve_geodesic_graph)
 from .homogeneous_space import MetricFamily, load_space_document
-from .s7_catalog import (ad_pattern_deviation, build_s7_space,
+from .s7_catalog import (_check_entry, ad_pattern_deviation, build_s7_space,
                          check_equivariance_sweep, extended_matrix_sweep,
                          verify_closed_form)
 
@@ -56,6 +56,8 @@ class RunConfig:
             self.tol = float(self.tol)
         if self.samples < 1:
             raise ValueError("--samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("--seed must be non-negative")
         if self.tol is not None and not self.tol > 0:
             raise ValueError("--tol must be positive")
         if not np.isfinite(self.t_max):
@@ -107,11 +109,12 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("--config must hold a JSON object of flag values")
         for key, attr in _CONFIG_KEYS.items():
             if key in doc:
                 values[attr] = doc[key]
-    for attr in ("space", "l_spec", "family", "y", "samples", "seed", "tol",
-                 "out", "fmt", "t_max", "steps"):
+    for attr in _CONFIG_KEYS.values():
         flag = getattr(args, attr, None)
         if flag is not None:
             values[attr] = flag
@@ -223,36 +226,23 @@ def cmd_verify_s7(cfg: RunConfig) -> int:
     def pick(default):
         return default if tol is None else tol
 
-    checks = []
-
     jac = s7.algebra.check_jacobi(tol=pick(1e-12))
-    checks.append({"name": "jacobi", "passed": jac.passed,
-                   "worst": jac.max_violation, "tol": jac.tol})
-
-    dev = ad_pattern_deviation(s7)
-    checks.append({"name": "ad_patterns", "passed": dev <= pick(1e-12),
-                   "worst": dev, "tol": pick(1e-12)})
-
-    ext = extended_matrix_sweep(sweep_n, cfg.seed, pick(1e-12))
-    checks.append({"name": "extended_matrix", **ext})
-
     cf = verify_closed_form(cfg.samples, cfg.seed, tol=pick(1e-8))
-    res_tol = pick(1e-9)
-    checks.append({"name": "closed_form_residual",
-                   "passed": cf.max_residual <= res_tol,
-                   "worst": cf.max_residual, "tol": res_tol,
-                   "witness_y": [float(v) for v in cf.worst_residual_y],
-                   "witness_c": [float(v) for v in cf.worst_residual_c]})
-    checks.append({"name": "closed_form_vs_solver",
-                   "passed": cf.max_mismatch <= cf.tol,
-                   "worst": cf.max_mismatch, "tol": cf.tol,
-                   "witness_y": [float(v) for v in cf.worst_mismatch_y],
-                   "witness_c": [float(v) for v in cf.worst_mismatch_c],
-                   "n_unique": cf.n_unique})
-
-    eq = check_equivariance_sweep(sweep_n, cfg.seed, pick(1e-8))
-    checks.append({"name": "equivariance", **eq})
-
+    entries = {
+        "jacobi": _check_entry(jac.max_violation, jac.tol),
+        "ad_patterns": _check_entry(ad_pattern_deviation(s7), pick(1e-12)),
+        "extended_matrix": extended_matrix_sweep(sweep_n, cfg.seed,
+                                                 pick(1e-12)),
+        "closed_form_residual": _check_entry(
+            cf.max_residual, pick(1e-9), witness_y=cf.worst_residual_y,
+            witness_c=cf.worst_residual_c),
+        "closed_form_vs_solver": _check_entry(
+            cf.max_mismatch, cf.tol, witness_y=cf.worst_mismatch_y,
+            witness_c=cf.worst_mismatch_c, n_unique=cf.n_unique),
+        "equivariance": check_equivariance_sweep(sweep_n, cfg.seed,
+                                                 pick(1e-8)),
+    }
+    checks = [{"name": name, **entry} for name, entry in entries.items()]
     passed = all(c["passed"] for c in checks)
     _emit(json.dumps({"checks": checks, "passed": passed}, indent=2), cfg.out)
     return EXIT_OK if passed else EXIT_MATH_FAIL

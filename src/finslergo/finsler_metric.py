@@ -253,29 +253,25 @@ def validate_l(lf: LFunction, sample_count: int = 200,
 class FinslerMetric:
     """F(y) = sqrt(L(sqrt(g_1(y,y)), ..., sqrt(g_k(y,y)))) on m.
 
-    A combiner that fails a Minkowski-norm condition raises ``ValueError``
-    unless ``unchecked``.  A built-in combiner is judged by the verdict its
-    form records (``lf.form_failures``); any other is sampled by
+    A combiner that fails a Minkowski-norm condition raises ``ValueError``.
+    A built-in combiner is judged by the verdict its form records
+    (``lf.form_failures``); any other is sampled by
     ``validate_l(lf, 64, seed=0)``.
     """
 
-    def __init__(self, family: MetricFamily, lf: LFunction,
-                 unchecked: bool = False):
+    def __init__(self, family: MetricFamily, lf: LFunction):
         if lf.arity != family.k:
             raise ValueError(
                 f"combiner arity {lf.arity} does not match family size "
                 f"{family.k}")
         self.family = family
         self.lf = lf
-        if not unchecked:
-            failed = lf.form_failures
-            if failed is None:
-                failed = validate_l(lf, sample_count=64, seed=0).failed()
-            if failed:
-                raise ValueError(
-                    "combiner fails Minkowski-norm conditions "
-                    f"{list(failed)}; pass unchecked=True "
-                    "to construct anyway")
+        failed = lf.form_failures
+        if failed is None:
+            failed = validate_l(lf, sample_count=64, seed=0).failed()
+        if failed:
+            raise ValueError(
+                f"combiner fails Minkowski-norm conditions {list(failed)}")
 
     @property
     def space(self):

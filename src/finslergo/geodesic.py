@@ -56,14 +56,18 @@ def _rows(space, Y, C):
     return Y, C
 
 
-def _criterion(space, Y, Xi, weighted) -> np.ndarray:
+def _criterion(space, Y, C, Xi) -> np.ndarray:
     """The bracket oracle: component a is sum_i C_i alpha_i(y, [w, U_a]_m)
-    with w = y + xi, computed from the structure constants directly."""
+    with w = y + xi, computed from the structure constants directly.
+    A result that overflows raises ``LinAlgError``, with no numpy warning."""
     w = np.zeros((len(Y), space.dim))
     w[:, space.m_indices] = Y
     w[:, space.h_indices] = Xi
-    brackets = np.einsum("ni,iak->nak", w, space.c_gmm)
-    return (brackets @ weighted[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        brackets = np.einsum("ni,iak->nak", w, space.c_gmm)
+        out = (brackets @ space.weighted_apply(Y, C)[..., None])[..., 0]
+    _require_finite(out)
+    return out
 
 
 def _system(space, Y, C):
@@ -191,7 +195,7 @@ def criterion_residuals(space, Y, C, Xi) -> np.ndarray:
     Xi = np.asarray(Xi, dtype=float)
     if Xi.shape != (len(Y), space.dim_h) or not np.isfinite(Xi).all():
         raise ValueError(f"expected finite Xi[{len(Y)}, {space.dim_h}]")
-    return _criterion(space, Y, Xi, space.weighted_apply(Y, C))
+    return _criterion(space, Y, C, Xi)
 
 
 def solve_batch(space, Y, C) -> GraphBatch:
@@ -260,8 +264,7 @@ def _one(metric: FinslerMetric, y):
 def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
     """Left side of the geodesic-vector criterion; zero iff y + xi qualifies."""
     ym, c = _one(metric, y)
-    xih = metric.space.coerce_h(xi)[None]
-    return _criterion(metric.space, ym, xih, metric.space.weighted_apply(ym, c))[0]
+    return _criterion(metric.space, ym, c, metric.space.coerce_h(xi)[None])[0]
 
 
 def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
@@ -309,22 +312,14 @@ def is_geodesic_vector(metric: FinslerMetric, w) -> Check:
     return Check("geodesic_vector", residual_max <= tol, residual_max, tol)
 
 
-class EquivarianceCheck(_Record):
-    """Transport deviation and uniqueness flags, one entry per row."""
-
-    deviation: np.ndarray
-    unique_source: np.ndarray
-    unique_transported: np.ndarray
-
-
-def check_equivariance_batch(metric: FinslerMetric, Y, H, T) -> EquivarianceCheck:
+def check_equivariance_batch(metric: FinslerMetric, Y, H, T):
     """Compare solving after transport with transporting the solution.
 
     Row n transports ``Y[n]`` by exp(T[n] ad(H[n])) for an isotropy vector
-    ``H[n]``, solves at both points, and gives the norm of xi(transported
-    y) - transported xi(y); rank deficiency on either side is reported
-    through the unique flags.  The fields of the result are arrays over the
-    rows.
+    ``H[n]`` and solves at both points.  Returns ``(deviation,
+    unique_source, unique_transported)``, arrays over the rows: the norm of
+    xi(transported y) - transported xi(y), and whether each side has a
+    unique solution.
     """
     space = metric.space
     Y = space.coerce_m(Y)
@@ -348,11 +343,8 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T) -> EquivarianceChec
     xi_moved = (ad_exp @ space.embed_h(src.xi)[..., None])[..., 0]
     xi_moved[:, m] = 0.0
     diff = space.embed_h(dst.xi) - xi_moved
-    return EquivarianceCheck(
-        deviation=np.sqrt((diff[:, None, :] @ diff[..., None])[:, 0, 0]),
-        unique_source=src.unique,
-        unique_transported=dst.unique,
-    )
+    deviation = np.sqrt((diff[:, None, :] @ diff[..., None])[:, 0, 0])
+    return deviation, src.unique, dst.unique
 
 
 class ScanReport(_Record):

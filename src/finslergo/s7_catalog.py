@@ -164,25 +164,14 @@ def ad_pattern_deviation(s7: S7Space | None = None) -> float:
     return float(max(pattern_off.max(), np.abs(ad[:, 7:, :7]).max()))
 
 
-class KCoefficients(_Record):
-    """The three weight ratios entering the closed-form geodesic graph."""
-
-    k1: float
-    k2: float
-    k3: float
-
-
-def k_coefficients(c) -> KCoefficients:
-    """Ratios k1 = c2/c3 - 2 c2/c1, k2 = 1 - 2 c3/c1, k3 = c2/c3 - 1.
+def k_coefficients(c):
+    """The weight ratios (k1, k2, k3) = (c2/c3 - 2 c2/c1, 1 - 2 c3/c1,
+    c2/c3 - 1) of the closed-form geodesic graph.
 
     A batch ``c[N, 3]`` gives arrays over the rows.
     """
     c1, c2, c3 = _positive_triple(c).T
-    return KCoefficients(
-        k1=c2 / c3 - 2.0 * c2 / c1,
-        k2=1.0 - 2.0 * c3 / c1,
-        k3=c2 / c3 - 1.0,
-    )
+    return c2 / c3 - 2.0 * c2 / c1, 1.0 - 2.0 * c3 / c1, c2 / c3 - 1.0
 
 
 def _positive_triple(c) -> Vector:
@@ -208,23 +197,23 @@ def closed_form_xi(y, c) -> Vector:
     rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 11]``.
     """
     x1, x2, x3, x4, z1, z2, z3 = _components(y)
-    k = k_coefficients(c)
+    k1, k2, k3 = k_coefficients(c)
     nx = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
     on_stratum = nx == 0.0
     nx = np.where(on_stratum, 1.0, nx)
-    xi1 = (k.k1 * z1 * (x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4)
-           + 2.0 * k.k2 * (z2 * (x2 * x3 - x1 * x4)
-                           + z3 * (x1 * x3 + x2 * x4))) / nx
-    xi2 = (2.0 * k.k1 * z1 * (x2 * x3 + x1 * x4)
-           + k.k2 * (z2 * (x1 * x1 - x2 * x2 + x3 * x3 - x4 * x4)
-                     + 2.0 * z3 * (x3 * x4 - x1 * x2))) / nx
-    xi3 = (2.0 * k.k1 * z1 * (x2 * x4 - x1 * x3)
-           + k.k2 * (2.0 * z2 * (x1 * x2 + x3 * x4)
-                     + z3 * (x1 * x1 - x2 * x2 - x3 * x3 + x4 * x4))) / nx
+    xi1 = (k1 * z1 * (x1 * x1 + x2 * x2 - x3 * x3 - x4 * x4)
+           + 2.0 * k2 * (z2 * (x2 * x3 - x1 * x4)
+                         + z3 * (x1 * x3 + x2 * x4))) / nx
+    xi2 = (2.0 * k1 * z1 * (x2 * x3 + x1 * x4)
+           + k2 * (z2 * (x1 * x1 - x2 * x2 + x3 * x3 - x4 * x4)
+                   + 2.0 * z3 * (x3 * x4 - x1 * x2))) / nx
+    xi3 = (2.0 * k1 * z1 * (x2 * x4 - x1 * x3)
+           + k2 * (2.0 * z2 * (x1 * x2 + x3 * x4)
+                   + z3 * (x1 * x1 - x2 * x2 - x3 * x3 + x4 * x4))) / nx
     out = np.zeros(np.shape(xi1) + (len(LABELS),))  # H1, H2, H3, W: 7..10
     out[..., 7], out[..., 8], out[..., 9] = xi1, xi2, xi3
     out[..., 7:10][on_stratum] = 0.0
-    out[..., 10] = k.k3 * z1
+    out[..., 10] = k3 * z1
     return out
 
 
@@ -270,29 +259,33 @@ def extended_matrix_deviation(Y, C) -> np.ndarray:
                       np.abs(scaled - extended_matrix(Y, C)).max(axis=(1, 2)))
 
 
-def _draw_y_c(seed: int, n_samples: int):
-    """Per sample, a standard normal 7-vector and then a weight triple
-    uniform in [0.25, 4]; one array of rows for each."""
+def _draw(seed: int, n_samples: int, normal_sizes, uniform_size: int,
+          low: float, high: float):
+    """Per sample, standard normal vectors of ``normal_sizes`` and then
+    ``uniform_size`` values uniform in [low, high); one array of rows each."""
     rng = np.random.default_rng(seed)
-    y, r = (np.empty((n_samples, k)) for k in (7, 3))
+    *normals, r = (np.empty((n_samples, k))
+                   for k in (*normal_sizes, uniform_size))
     for i in range(n_samples):
-        rng.standard_normal(out=y[i])
+        for a in normals:
+            rng.standard_normal(out=a[i])
         rng.random(out=r[i])
-    return y, 0.25 + 3.75 * r  # as Generator.uniform(0.25, 4.0) maps r
+    return (*normals, low + (high - low) * r)  # as Generator.uniform maps r
+
+
+def _check_entry(worst, tol, **witness) -> dict:
+    """One ``verify-s7`` check: passed, worst and tol, then the witnesses,
+    with arrays as lists of floats."""
+    return {"passed": bool(worst <= tol), "worst": float(worst), "tol": tol,
+            **{k: np.asarray(v).tolist() for k, v in witness.items()}}
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over random base vectors and weights."""
-    y, c = _draw_y_c(seed, n_samples)
+    y, c = _draw(seed, n_samples, (7,), 3, 0.25, 4.0)
     dev = extended_matrix_deviation(y, c)
     i = int(np.argmax(dev))
-    return {
-        "passed": bool(dev[i] <= tol),
-        "worst": float(dev[i]),
-        "tol": tol,
-        "witness_y": [float(v) for v in y[i]],
-        "witness_c": [float(v) for v in c[i]],
-    }
+    return _check_entry(dev[i], tol, witness_y=y[i], witness_c=c[i])
 
 
 @lru_cache(maxsize=1)
@@ -311,24 +304,12 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     the base vector.
     """
     metric = _equivariance_metric()
-    rng = np.random.default_rng(seed)
-    v, h, r = (np.empty((n_samples, k)) for k in (7, 4, 1))
-    for i in range(n_samples):  # per sample: y, then h, then t
-        rng.standard_normal(out=v[i])
-        rng.standard_normal(out=h[i])
-        rng.random(out=r[i])
-    t = -1.0 + 2.0 * r[:, 0]  # as Generator.uniform(-1.0, 1.0) maps r
+    v, h, t = _draw(seed, n_samples, (7, 4), 1, -1.0, 1.0)
     y = v / metric.space.alpha_norm(v)[:, None]
-    dev = check_equivariance_batch(metric, y, h, t).deviation
+    dev = check_equivariance_batch(metric, y, h, t[:, 0])[0]
     i = int(np.argmax(dev))
-    return {
-        "passed": bool(dev[i] <= tol),
-        "worst": float(dev[i]),
-        "tol": tol,
-        "witness_y": [float(x) for x in y[i]],
-        "witness_h": [float(x) for x in h[i]],
-        "witness_t": float(t[i]),
-    }
+    return _check_entry(dev[i], tol, witness_y=y[i], witness_h=h[i],
+                        witness_t=t[i, 0])
 
 
 class ClosedFormReport(_Record):
@@ -360,7 +341,7 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     space = build_s7_space().space
-    v, c = _draw_y_c(seed, n_samples)
+    v, c = _draw(seed, n_samples, (7,), 3, 0.25, 4.0)
     y = v / space.alpha_norm(v)[:, None]
     # riemannian_metric(space, c).c_coefficients(y) == c exactly, so the
     # weights go straight into the batched criterion

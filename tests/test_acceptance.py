@@ -149,9 +149,10 @@ def test_criterion_7_equivariance(s7):
         y = v / np.sqrt(v @ gram @ v)
         h = rng.standard_normal(4)
         t = float(rng.uniform(-1.0, 1.0))
-        chk = check_equivariance_batch(metric, y[None], h[None], [t])
-        assert chk.unique_source[0] and chk.unique_transported[0]
-        worst = max(worst, float(chk.deviation[0]))
+        dev, unique_src, unique_dst = check_equivariance_batch(
+            metric, y[None], h[None], [t])
+        assert unique_src[0] and unique_dst[0]
+        worst = max(worst, float(dev[0]))
     report(7, worst < 1e-8, f"worst deviation {worst:.2e}")
 
 

@@ -17,8 +17,10 @@ import finslergo
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, assemble, check_equivariance_batch,
                        closed_form_xi, criterion_residuals, extended_matrix,
-                       geodesic_residual, go_property_scan, riemannian_metric,
-                       solve_batch, solve_geodesic_graph, verify_closed_form)
+                       geodesic_residual, go_property_scan,
+                       is_geodesic_vector, l_function_from_spec,
+                       riemannian_metric, solve_batch, solve_geodesic_graph,
+                       verify_closed_form)
 from finslergo.cli import main
 from conftest import unit_m_samples
 
@@ -101,14 +103,13 @@ def test_equivariance_batch_agrees_with_single_checks(s7):
     y = unit_m_samples(s7.space, 6, seed=309)
     h = rng.standard_normal((6, 4))
     t = rng.uniform(-1.0, 1.0, 6)
-    batch = check_equivariance_batch(metric, y, h, t)
+    dev, unique_src, unique_dst = check_equivariance_batch(metric, y, h, t)
     for i in range(6):
         one = check_equivariance_batch(metric, y[i:i + 1], h[i:i + 1],
                                        t[i:i + 1])
-        assert_allclose(batch.deviation[i], one.deviation[0], rtol=1e-12,
-                        atol=1e-15)
-        assert batch.unique_source[i] == one.unique_source[0]
-        assert batch.unique_transported[i] == one.unique_transported[0]
+        assert_allclose(dev[i], one[0][0], rtol=1e-12, atol=1e-15)
+        assert unique_src[i] == one[1][0]
+        assert unique_dst[i] == one[2][0]
 
 
 def test_equivariance_rows_equal_batches_of_one_bit_for_bit(s7):
@@ -125,9 +126,10 @@ def test_equivariance_rows_equal_batches_of_one_bit_for_bit(s7):
     batch = check_equivariance_batch(metric, y, h, t)
     ones = [check_equivariance_batch(metric, y[i:i + 1], h[i:i + 1],
                                      t[i:i + 1]) for i in range(100)]
-    for field in ("deviation", "unique_source", "unique_transported"):
-        one = np.concatenate([getattr(o, field) for o in ones])
-        assert np.array_equal(getattr(batch, field), one), field
+    for j, field in enumerate(("deviation", "unique_source",
+                               "unique_transported")):
+        one = np.concatenate([o[j] for o in ones])
+        assert np.array_equal(batch[j], one), field
 
 
 # -- the closed form over rows -------------------------------------------------
@@ -253,6 +255,28 @@ def test_overflowing_system_raises_without_a_warning(s7):
     assert [str(w.message) for w in caught] == []
 
 
+def test_overflowing_criterion_raises_without_a_warning(s7):
+    # the weights of sum_sq:1e300,1 stay finite at 1e5 y, but the products
+    # of the bracket oracle overflow
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    metric = FinslerMetric(family, l_function_from_spec("sum_sq:1e300,1"))
+    y = 1e5 * np.array([0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
+    c = metric.c_coefficients(y[None])
+    assert np.isfinite(c).all()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            geodesic_residual(metric, y, np.zeros(4))
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            is_geodesic_vector(metric, np.concatenate([y, np.zeros(4)]))
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            criterion_residuals(s7.space, y[None], c, np.zeros((1, 4)))
+        # at unit scale the same metric gives a finite residual
+        assert np.isfinite(geodesic_residual(metric, y / 1e5,
+                                             np.zeros(4))).all()
+    assert [str(w.message) for w in caught] == []
+
+
 def test_solver_residual_matches_the_bracket_oracle(s7):
     rng = np.random.default_rng(331)
     for metric in _s7_metrics(s7).values():
@@ -325,4 +349,5 @@ def test_all_lists_exactly_the_public_names():
     assert sorted(finslergo.__all__) == sorted(public)
     assert set(namespace) - {"__builtins__"} == public
     assert not public & {"adjoint_group_element", "assemble_system",
-                         "check_equivariance"}
+                         "check_equivariance", "KCoefficients",
+                         "EquivarianceCheck"}

@@ -94,8 +94,7 @@ def test_graph_accepts_large_weight_combiners_by_their_form(capsys):
                          "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8",
                          "--l", "sum:1,1", "--family", "1,1,1;2,1,4")
     assert code == 2 and out == ""
-    assert err == ("error: combiner fails Minkowski-norm conditions ['ii']; "
-                   "pass unchecked=True to construct anyway\n")
+    assert err == "error: combiner fails Minkowski-norm conditions ['ii']\n"
     # a valid form whose gradient overflows fails at the solve, without
     # numpy warnings
     code, out, err = run(capsys, "graph", "--y",
@@ -219,6 +218,35 @@ def test_verify_s7_default_passes(capsys):
     for check in doc["checks"]:
         if check["name"] == "closed_form_residual":
             assert len(check["witness_y"]) == 7
+
+
+@pytest.mark.parametrize("flags", [[], ["--tol", "1e-15"]])
+def test_verify_s7_entries_share_one_shape(capsys, flags):
+    code, out, _ = run(capsys, "verify-s7", "--samples", "100", *flags)
+    assert code == (1 if flags else 0)
+    # witness name -> list length, or the type of a scalar witness
+    witnesses = {
+        "jacobi": {},
+        "ad_patterns": {},
+        "extended_matrix": {"witness_y": 7, "witness_c": 3},
+        "closed_form_residual": {"witness_y": 7, "witness_c": 3},
+        "closed_form_vs_solver": {"witness_y": 7, "witness_c": 3,
+                                  "n_unique": int},
+        "equivariance": {"witness_y": 7, "witness_h": 4, "witness_t": float},
+    }
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == list(witnesses)
+    for check in checks:
+        expect = witnesses[check["name"]]
+        assert list(check) == ["name", "passed", "worst", "tol", *expect]
+        assert type(check["worst"]) is float and type(check["tol"]) is float
+        assert check["passed"] is (check["worst"] <= check["tol"])
+        for key, shape in expect.items():
+            if isinstance(shape, int):
+                assert len(check[key]) == shape
+                assert all(type(v) is float for v in check[key])
+            else:
+                assert type(check[key]) is shape
 
 
 def test_verify_s7_impossible_tolerance_fails(capsys):
@@ -345,6 +373,23 @@ def test_malformed_family_in_a_config_file_names_the_flag(capsys, tmp_path):
     cfg.write_text(json.dumps({"family": [[1, 1, 1], [2, 1]]}))
     code, _, err = run(capsys, "scan", "--config", str(cfg), "--samples", "5")
     assert code == 2 and err.startswith("error: --family")
+
+
+def test_negative_seed_names_the_flag(capsys, tmp_path):
+    code, out, err = run(capsys, "verify-s7", "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: --seed must be non-negative\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -3}))
+    code, out, err = run(capsys, "scan", "--config", str(cfg))
+    assert (code, out, err) == (2, "", "error: --seed must be non-negative\n")
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "scan", 3, None])
+def test_config_that_is_not_an_object_names_the_flag(capsys, tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-s7", "--config", str(cfg))
+    assert code == 2 and out == "" and err.startswith("error: --config ")
 
 
 @pytest.mark.parametrize("t_max", ["nan", "inf", "-inf"])

@@ -213,8 +213,7 @@ def test_f_positively_homogeneous(scale, seed):
     from finslergo import build_s7_space
     s7 = build_s7_space()
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
-    metric = FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]),
-                           unchecked=True)
+    metric = FinslerMetric(family, LFunction.squared_sum([1.0, 3.0]))
     y = np.random.default_rng(seed).standard_normal(7)
     assert_allclose(metric.f_value(scale * y), scale * metric.f_value(y),
                     rtol=1e-12)
@@ -444,10 +443,11 @@ def test_metric_arity_must_match_family(s7):
 def test_metric_rejects_invalid_combiner_unless_unchecked(s7):
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
     bad = degree_one_sum([1.0, 1.0])
-    with pytest.raises(ValueError, match="conditions"):
+    with pytest.raises(ValueError, match=r"^combiner fails Minkowski-norm "
+                       r"conditions \['ii'\]$"):
         FinslerMetric(family, bad)
-    metric = FinslerMetric(family, bad, unchecked=True)
-    assert metric.lf is bad
+    with pytest.raises(TypeError, match="unchecked"):  # no way around it
+        FinslerMetric(family, bad, unchecked=True)
 
 
 def _root_sum_fourth(u):

@@ -175,7 +175,7 @@ def test_geodesic_vector_check_scales_its_tolerance(s7, finsler):
 def test_z1_with_w_multiple_is_geodesic(s7, round_metric):
     alg = s7.algebra
     c = round_metric.c_coefficients(alg.basis_vector("Z1")[:7])
-    k3 = k_coefficients(c).k3
+    k3 = k_coefficients(c)[2]
     w = alg.basis_vector("Z1") + k3 * alg.basis_vector("W")
     assert is_geodesic_vector(round_metric, w).passed
 
@@ -189,27 +189,28 @@ def test_geodesic_vector_rejects_zero_m_part(s7, round_metric):
 
 def test_equivariance_at_zero_time(s7, finsler):
     y = unit_m_samples(s7.space, 1, seed=157)[0]
-    chk = check_equivariance_batch(finsler, y[None], [[1.0, 0, 0, 0]], [0.0])
-    assert chk.deviation[0] == 0.0
+    dev, _, _ = check_equivariance_batch(finsler, y[None], [[1.0, 0, 0, 0]],
+                                         [0.0])
+    assert dev[0] == 0.0
 
 
 @pytest.mark.parametrize("h_label,t", [("H1", 0.3), ("W", 0.7)])
 def test_equivariance_along_named_generators(s7, finsler, h_label, t):
     h = s7.space.coerce_h(s7.algebra.basis_vector(h_label))
     y = unit_m_samples(s7.space, 10, seed=163)
-    chk = check_equivariance_batch(finsler, y, np.tile(h, (10, 1)),
-                                   np.full(10, t))
-    assert chk.unique_source.all() and chk.unique_transported.all()
-    assert np.all(chk.deviation < 1e-8)
+    dev, unique_src, unique_dst = check_equivariance_batch(
+        finsler, y, np.tile(h, (10, 1)), np.full(10, t))
+    assert unique_src.all() and unique_dst.all()
+    assert np.all(dev < 1e-8)
 
 
 def test_equivariance_reports_degenerate_points(round_metric):
     y = np.zeros(7)
     y[0] = 1.0  # no Z-part: the solved correction is 0 on both sides
-    chk = check_equivariance_batch(round_metric, y[None], [[1.0, 0, 0, 0]],
-                                   [0.4])
-    assert not chk.unique_source[0]
-    assert chk.deviation[0] < 1e-12
+    dev, unique_src, _ = check_equivariance_batch(
+        round_metric, y[None], [[1.0, 0, 0, 0]], [0.4])
+    assert not unique_src[0]
+    assert dev[0] < 1e-12
 
 
 # -- scans -------------------------------------------------------------------------

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import finslergo
-from finslergo import (Check, ClosedFormReport, EquivarianceCheck, GraphBatch,
-                       JacobiReport, KCoefficients, MatrixRealization, Report,
-                       S7Space, ScanReport)
+from finslergo import (Check, ClosedFormReport, GraphBatch, JacobiReport,
+                       MatrixRealization, Report, S7Space, ScanReport)
 
 
 def _values(s7):
@@ -30,11 +29,9 @@ def _values(s7):
         Report: ((Check("i", True, 0.5, 1.0),),),
         JacobiReport: (0.0, 1e-12),
         GraphBatch: (y, xi, residual, rank, np.zeros((2, 7, 4))),
-        EquivarianceCheck: (residual, rank == 4, rank == 4),
         ScanReport: (2e-16, y[0], y, residual, ("X1", "X2"), 3),
         MatrixRealization: (real.matrices, real.base_point),
         S7Space: (s7.space, real),
-        KCoefficients: (1.0, -0.5, 2.0),
         ClosedFormReport: (10, 1e-8, 1e-15, y[0], xi[0], 2e-15, y[1], xi[1],
                            9),
     }
@@ -45,9 +42,8 @@ def records(s7):
     return _values(s7)
 
 
-CLASSES = [Check, Report, JacobiReport, GraphBatch, EquivarianceCheck,
-           ScanReport, MatrixRealization, S7Space, KCoefficients,
-           ClosedFormReport]
+CLASSES = [Check, Report, JacobiReport, GraphBatch, ScanReport,
+           MatrixRealization, S7Space, ClosedFormReport]
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -114,10 +110,10 @@ def test_check_defaults_eq_and_hash():
 
 
 def test_keyword_dict_is_not_shared_with_the_caller():
-    values = {"k1": 1.0, "k2": 2.0, "k3": 3.0}
-    k = KCoefficients(**values)
-    values["k1"] = 9.0
-    assert k == KCoefficients(1.0, 2.0, 3.0)
+    values = {"max_violation": 1.0, "tol": 2.0}
+    report = JacobiReport(**values)
+    values["max_violation"] = 9.0
+    assert report == JacobiReport(1.0, 2.0)
 
 
 def test_graph_batch_hides_a_mat(records):

@@ -125,23 +125,21 @@ def test_isotropy_annihilates_base_point(s7):
 # -- ratio coefficients ------------------------------------------------------------
 
 def test_k_unit_weights():
-    k = k_coefficients([1.0, 1.0, 1.0])
-    assert (k.k1, k.k2, k.k3) == (-1.0, -1.0, 0.0)
+    assert k_coefficients([1.0, 1.0, 1.0]) == (-1.0, -1.0, 0.0)
 
 
 def test_k_two_one_one():
-    k = k_coefficients([2.0, 1.0, 1.0])
-    assert (k.k1, k.k2, k.k3) == (0.0, 0.0, 0.0)
+    assert k_coefficients([2.0, 1.0, 1.0]) == (0.0, 0.0, 0.0)
 
 
 def test_k3_zero_iff_equal_last_weights():
     rng = np.random.default_rng(29)
     for _ in range(20):
         c = rng.uniform(0.2, 5.0, size=3)
-        k = k_coefficients(c)
-        assert (k.k3 == 0.0) == (c[1] == c[2])
+        k3 = k_coefficients(c)[2]
+        assert (k3 == 0.0) == (c[1] == c[2])
         c[2] = c[1]
-        assert k_coefficients(c).k3 == 0.0
+        assert k_coefficients(c)[2] == 0.0
 
 
 def test_k_rejects_nonpositive():
@@ -155,18 +153,18 @@ def test_k_rejects_nonpositive():
 
 def test_closed_form_first_substitution(s7):
     c = [1.7, 0.6, 2.2]
-    k = k_coefficients(c)
+    k1, _, k3 = k_coefficients(c)
     y = np.array([1.0, 0, 0, 0, 1.0, 0, 0])
     xi = closed_form_xi(y, c)
-    assert_allclose(xi[s7.space.h_indices], [k.k1, 0.0, 0.0, k.k3], atol=0.0)
+    assert_allclose(xi[s7.space.h_indices], [k1, 0.0, 0.0, k3], atol=0.0)
 
 
 def test_closed_form_second_substitution(s7):
     c = [1.7, 0.6, 2.2]
-    k = k_coefficients(c)
+    _, k2, _ = k_coefficients(c)
     y = np.array([1.0, 0, 0, 0, 0, 1.0, 0])
     xi = closed_form_xi(y, c)
-    assert_allclose(xi[s7.space.h_indices], [0.0, k.k2, 0.0, 0.0], atol=0.0)
+    assert_allclose(xi[s7.space.h_indices], [0.0, k2, 0.0, 0.0], atol=0.0)
 
 
 def test_closed_form_zero_z_part_gives_zero(s7):
@@ -178,10 +176,10 @@ def test_closed_form_zero_z_part_gives_zero(s7):
 
 def test_closed_form_x_zero_convention(s7):
     c = [1.3, 0.7, 2.0]
-    k = k_coefficients(c)
+    k3 = k_coefficients(c)[2]
     y = np.array([0, 0, 0, 0, 1.5, -0.3, 0.8])
     xi = closed_form_xi(y, c)
-    assert_allclose(xi[s7.space.h_indices], [0.0, 0.0, 0.0, k.k3 * 1.5],
+    assert_allclose(xi[s7.space.h_indices], [0.0, 0.0, 0.0, k3 * 1.5],
                     atol=0.0)
     metric = riemannian_metric(s7.space, c)
     assert np.abs(geodesic_residual(metric, y, xi)).max() < 1e-12
@@ -309,21 +307,32 @@ def _reference_v_h_t(seed, n):
 
 def test_draws_equal_the_per_sample_loops(s7, monkeypatch):
     from finslergo import s7_catalog
-    seen = []
+    seen = {}
 
-    def record(metric, y, h, t):
-        seen.append((y, h, t))
-        return real(metric, y, h, t)
+    def record(name):
+        real = getattr(s7_catalog, name)
 
-    real = s7_catalog.check_equivariance_batch
-    monkeypatch.setattr(s7_catalog, "check_equivariance_batch", record)
+        def recorded(*args):
+            seen[name] = args
+            return real(*args)
+        monkeypatch.setattr(s7_catalog, name, recorded)
+
+    for name in ("extended_matrix_deviation", "solve_batch",
+                 "check_equivariance_batch"):
+        record(name)
     for seed in range(100):
+        s7_catalog.extended_matrix_sweep(50, seed, 1e-12)
+        s7_catalog.verify_closed_form(30, seed)
         s7_catalog.check_equivariance_sweep(20, seed, 1e-8)
+        y, c = _reference_y_c(seed, 50)
+        u, c_cf = _reference_y_c(seed, 30)
         v, h, t = _reference_v_h_t(seed, 20)
-        y = v / s7.space.alpha_norm(v)[:, None]
-        for got, expect in [*zip(s7_catalog._draw_y_c(seed, 50),
-                                 _reference_y_c(seed, 50)),
-                            *zip(seen[-1], (y, h, t))]:
+        for got, expect in [
+                *zip(seen["extended_matrix_deviation"], (y, c)),
+                *zip(seen["solve_batch"][1:],
+                     (u / s7.space.alpha_norm(u)[:, None], c_cf)),
+                *zip(seen["check_equivariance_batch"][1:],
+                     (v / s7.space.alpha_norm(v)[:, None], h, t))]:
             assert got.shape == expect.shape
             assert np.array_equal(got, expect)
 
@@ -344,8 +353,7 @@ def test_catalog_exports_and_reloads(s7):
     family = MetricFamily(s7.space, [[1.0, 2.0, 0.5]])
     space2, family2 = load_space_document(s7.space.to_json_dict(family))
     assert np.array_equal(space2.alg.structure, s7.algebra.structure)
-    metric = FinslerMetric(family2, LFunction.sum_of_squares([1.0]),
-                           unchecked=True)
+    metric = FinslerMetric(family2, LFunction.sum_of_squares([1.0]))
     for y in unit_m_samples(s7.space, 10, seed=59):
         a = solve_geodesic_graph(metric, y)
         b = solve_geodesic_graph(
