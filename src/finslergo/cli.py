@@ -48,12 +48,17 @@ class RunConfig:
     steps: int = 200
 
     def __post_init__(self):
-        self.samples = int(self.samples)
-        self.seed = int(self.seed)
-        self.steps = int(self.steps)
-        self.t_max = float(self.t_max)
-        if self.tol is not None:
-            self.tol = float(self.tol)
+        # config-file values arrive unconverted: no bool, str or fraction
+        integers = ("samples", "seed", "steps")
+        for key in (*integers, "t_max", "tol"):
+            value, whole = getattr(self, key), key in integers
+            if value is None and key == "tol":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or whole and value % 1):  # a fraction, inf or nan
+                kind = "an integer" if whole else "a number"
+                raise ValueError(f"{key} must be {kind}, not {value!r}")
+            setattr(self, key, int(value) if whole else float(value))
         if self.samples < 1:
             raise ValueError("--samples must be at least 1")
         if self.seed < 0:
@@ -188,14 +193,12 @@ def cmd_graph(cfg: RunConfig) -> int:
     _, _, metric = _load_setup(cfg)
     result = solve_geodesic_graph(metric, cfg.y)
     if cfg.fmt == "csv":
-        labels = metric.space.m_labels()
-        hlabels = metric.space.h_labels()
-        header = [*labels, *(f"xi_{h}" for h in hlabels),
+        header = [*metric.space.m_labels(),
+                  *(f"xi_{h}" for h in metric.space.h_labels()),
                   "residual", "rank", "unique"]
-        row = [*(float_repr(v) for v in result.y_m),
-               *(float_repr(v) for v in result.xi_h),
-               float_repr(result.residual_norm), str(result.rank),
-               str(result.unique).lower()]
+        row = [*map(float_repr, [*result.y_m, *result.xi_h,
+                                 result.residual_norm]),
+               str(result.rank), str(result.unique).lower()]
         _emit(",".join(header) + "\n" + ",".join(row), cfg.out)
     else:
         _emit(json.dumps(result.to_json_dict(), indent=2), cfg.out)
@@ -221,10 +224,9 @@ def cmd_scan(cfg: RunConfig) -> int:
 def cmd_verify_s7(cfg: RunConfig) -> int:
     s7 = build_s7_space()
     sweep_n = max(20, cfg.samples // 10)
-    tol = cfg.tol
 
     def pick(default):
-        return default if tol is None else tol
+        return default if cfg.tol is None else cfg.tol
 
     jac = s7.algebra.check_jacobi(tol=pick(1e-12))
     cf = verify_closed_form(cfg.samples, cfg.seed, tol=pick(1e-8))
@@ -269,11 +271,9 @@ def cmd_orbit(cfg: RunConfig) -> int:
                "unit_norm": norms_ok}
         _emit(json.dumps(doc, indent=2), cfg.out)
     else:
-        n = points.shape[1]
-        lines = [",".join(["t", *(f"p{i}" for i in range(n))])]
-        for t, row in zip(t_values, points):
-            lines.append(",".join([float_repr(t),
-                                   *(float_repr(x) for x in row)]))
+        lines = [",".join(["t", *(f"p{i}" for i in range(points.shape[1]))])]
+        lines += [",".join(map(float_repr, [t, *row]))
+                  for t, row in zip(t_values, points)]
         _emit("\n".join(lines) + "\n", cfg.out)
     return EXIT_OK if norms_ok else EXIT_MATH_FAIL
 

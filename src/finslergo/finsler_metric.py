@@ -346,11 +346,12 @@ class FinslerMetric:
         return self._c(self.space.coerce_m(y))
 
     def fundamental_contraction(self, y, v) -> float:
-        """g_y(y, v): the fundamental tensor contracted with the base vector,
-        in the block form sum_i C_i alpha_i(y, v)."""
+        """g_y(y, v) = sum_i C_i alpha_i(y, v), with C (of degree 0) taken at
+        y / 2^e as in :meth:`f_value`; so g_y(2^s y, v) = 2^s g_y(y, v)."""
         ym = self.space.coerce_m(y)
         vm = self.space.coerce_m(v, allow_zero=True)
-        return float(self.space.weighted_apply(ym, self._c(ym)) @ vm)
+        c = self._c(np.ldexp(ym, -int(np.frexp(np.abs(ym).max())[1])))
+        return float(self.space.weighted_apply(ym, c) @ vm)
 
     def fd_fundamental(self, y, v, step: float = 1e-4) -> float:
         """Independent oracle: central difference of 0.5*F^2(y + t v) at 0."""

@@ -259,20 +259,6 @@ def extended_matrix_deviation(Y, C) -> np.ndarray:
                       np.abs(scaled - extended_matrix(Y, C)).max(axis=(1, 2)))
 
 
-def _draw(seed: int, n_samples: int, normal_sizes, uniform_size: int,
-          low: float, high: float):
-    """Per sample, standard normal vectors of ``normal_sizes`` and then
-    ``uniform_size`` values uniform in [low, high); one array of rows each."""
-    rng = np.random.default_rng(seed)
-    *normals, r = (np.empty((n_samples, k))
-                   for k in (*normal_sizes, uniform_size))
-    for i in range(n_samples):
-        for a in normals:
-            rng.standard_normal(out=a[i])
-        rng.random(out=r[i])
-    return (*normals, low + (high - low) * r)  # as Generator.uniform maps r
-
-
 def _check_entry(worst, tol, **witness) -> dict:
     """One ``verify-s7`` check: passed, worst and tol, then the witnesses,
     with arrays as lists of floats."""
@@ -281,8 +267,12 @@ def _check_entry(worst, tol, **witness) -> dict:
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
-    """Worst display-vs-assembly deviation over random base vectors and weights."""
-    y, c = _draw(seed, n_samples, (7,), 3, 0.25, 4.0)
+    """Worst display-vs-assembly deviation over the base vectors
+    ``y = rng.standard_normal((n, 7))`` and then the weights
+    ``c = rng.uniform(0.25, 4.0, (n, 3))`` of ``rng = default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((n_samples, 7))
+    c = rng.uniform(0.25, 4.0, (n_samples, 3))
     dev = extended_matrix_deviation(y, c)
     i = int(np.argmax(dev))
     return _check_entry(dev[i], tol, witness_y=y[i], witness_c=c[i])
@@ -301,15 +291,20 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst transport deviation of the solved graph over random triples.
 
     Uses a genuinely two-metric combiner so the induced weights vary with
-    the base vector.
+    the base vector.  ``rng = default_rng(seed)`` draws
+    ``v = rng.standard_normal((n, 7))``, ``h = rng.standard_normal((n, 4))``
+    and ``t = rng.uniform(-1.0, 1.0, n)``, in that order; y is v at unit norm.
     """
     metric = _equivariance_metric()
-    v, h, t = _draw(seed, n_samples, (7, 4), 1, -1.0, 1.0)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n_samples, 7))
+    h = rng.standard_normal((n_samples, 4))
+    t = rng.uniform(-1.0, 1.0, n_samples)
     y = v / metric.space.alpha_norm(v)[:, None]
-    dev = check_equivariance_batch(metric, y, h, t[:, 0])[0]
+    dev = check_equivariance_batch(metric, y, h, t)[0]
     i = int(np.argmax(dev))
     return _check_entry(dev[i], tol, witness_y=y[i], witness_h=h[i],
-                        witness_t=t[i, 0])
+                        witness_t=t[i])
 
 
 class ClosedFormReport(_Record):
@@ -334,14 +329,17 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
                        tol: float = 1e-8) -> ClosedFormReport:
     """Check the closed form against the criterion and the numeric solver.
 
-    Draws unit-norm base vectors and positive weight triples; for each pair
-    the closed form must satisfy the criterion within tol, and must match
-    the minimal-norm solver wherever the solver reports a unique solution.
+    ``rng = default_rng(seed)`` draws ``v = rng.standard_normal((n, 7))``
+    and then ``c = rng.uniform(0.25, 4.0, (n, 3))``; y is v at unit norm.
+    For each pair the closed form must satisfy the criterion within tol,
+    and match the minimal-norm solver wherever it reports a unique solution.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     space = build_s7_space().space
-    v, c = _draw(seed, n_samples, (7,), 3, 0.25, 4.0)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n_samples, 7))
+    c = rng.uniform(0.25, 4.0, (n_samples, 3))
     y = v / space.alpha_norm(v)[:, None]
     # riemannian_metric(space, c).c_coefficients(y) == c exactly, so the
     # weights go straight into the batched criterion

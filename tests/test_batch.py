@@ -167,17 +167,15 @@ def test_verify_witnesses_are_rows_of_the_documented_draws(s7):
     seed, n = 23, 200
     report = verify_closed_form(n_samples=n, seed=seed)
     rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(n):  # per sample: a base vector, then a weight triple
-        v = rng.standard_normal(7)
-        draws.append((v / np.sqrt(v @ v), rng.uniform(0.25, 4.0, size=3)))
-    ys = np.array([y for y, _ in draws])
-    cs = np.array([c for _, c in draws])
+    # one call per array: the base vectors, then the weight triples
+    v = rng.standard_normal((n, 7))
+    cs = rng.uniform(0.25, 4.0, (n, 3))
+    ys = np.array([u / np.sqrt(u @ u) for u in v])
     i = np.flatnonzero((ys == report.worst_residual_y).all(axis=1))
     j = np.flatnonzero((ys == report.worst_mismatch_y).all(axis=1))
     assert len(i) == 1 and np.array_equal(cs[i[0]], report.worst_residual_c)
     assert len(j) == 1 and np.array_equal(cs[j[0]], report.worst_mismatch_c)
-    y, c = draws[i[0]]
+    y, c = ys[i[0]], cs[i[0]]
     metric = riemannian_metric(s7.space, c)
     assert report.max_residual == np.abs(
         geodesic_residual(metric, y, closed_form_xi(y, c))).max()

@@ -384,6 +384,34 @@ def test_negative_seed_names_the_flag(capsys, tmp_path):
     assert (code, out, err) == (2, "", "error: --seed must be non-negative\n")
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("samples", 150.9, "an integer"), ("seed", 2.5, "an integer"),
+    ("steps", 2.5, "an integer"), ("steps", float("inf"), "an integer"),
+    ("samples", True, "an integer"), ("seed", False, "an integer"),
+    ("steps", True, "an integer"),
+    ("samples", "many", "an integer"), ("seed", "7", "an integer"),
+    ("steps", [200], "an integer"), ("t_max", "6.28", "a number"),
+    ("t_max", True, "a number"), ("tol", "1e-3", "a number"),
+    ("tol", {"v": 1}, "a number")])
+def test_bad_config_value_names_the_key(capsys, monkeypatch, tmp_path, key,
+                                         value, kind):
+    import finslergo.cli as cli
+    monkeypatch.setattr(cli, "build_s7_space", None)  # never reached
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, "verify-s7", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {key} must be {kind}, not {value!r}\n"
+
+
+def test_whole_float_config_values_are_integers(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": 20.0, "seed": 3.0}))
+    code, out, _ = run(capsys, "scan", "--config", str(cfg), "--format",
+                       "json")
+    assert code == 0 and json.loads(out)["n_samples"] == 20
+
+
 @pytest.mark.parametrize("doc", [[1, 2], "scan", 3, None])
 def test_config_that_is_not_an_object_names_the_flag(capsys, tmp_path, doc):
     cfg = tmp_path / "cfg.json"

@@ -399,6 +399,26 @@ def test_contraction_forms_agree(two_metric):
                         rtol=1e-12, atol=1e-15)
 
 
+@pytest.mark.parametrize("spec", SCALE_SPECS)
+def test_contraction_scales_exactly_by_powers_of_two(s7, spec):
+    # C has degree 0, so the scale of y alone never breaks the contraction
+    metric = _quick_start_metric(s7, spec)
+    v = np.ones(7)
+    g = metric.fundamental_contraction(QUICK_Y, v)
+    for k in range(-500, 501, 100):
+        assert (metric.fundamental_contraction(2.0 ** k * QUICK_Y, v)
+                == 2.0 ** k * g)
+
+
+def test_contraction_is_finite_where_the_squared_norm_overflows(s7):
+    metric = _quick_start_metric(s7, "sq_sum:1,3")
+    v = np.ones(7)
+    value = metric.fundamental_contraction(1e155 * QUICK_Y, v)
+    assert_allclose(value, 1e155 * metric.fundamental_contraction(QUICK_Y, v),
+                    rtol=1e-14)
+    assert 6.4e156 < value < 6.5e156
+
+
 def test_fd_oracle_riemannian(s7):
     metric = riemannian_metric(s7.space, [1.0, 2.0, 3.0])
     rng = np.random.default_rng(17)

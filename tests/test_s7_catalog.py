@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, build_s7_space, closed_form_xi,
                        extended_matrix, geodesic_residual, k_coefficients,
-                       load_space_document, riemannian_metric,
+                       load_space_document, riemannian_metric, solve_batch,
                        solve_geodesic_graph, verify_closed_form)
 from finslergo.s7_catalog import (_complex_basis, ad_pattern_deviation,
                                   extended_matrix_deviation,
@@ -234,6 +234,33 @@ def test_extended_matrix_agrees_with_assembly(s7):
     assert dev.shape == (100,) and dev.max() < 1e-12
 
 
+def _gram_det(y, c):
+    """det(E^T E) of the displayed 6 x 4 coefficient part E, as the squared
+    product of the diagonal of its R factor (no E^T E is formed)."""
+    r = np.linalg.qr(extended_matrix(y, c)[..., :4], mode="r")
+    return np.prod(np.diagonal(r, axis1=-2, axis2=-1), axis=-1) ** 2
+
+
+def test_displayed_system_is_singular_exactly_on_two_strata(s7):
+    # det(E^T E) = 4 (z2^2 + z3^2) |x|^6: full rank off {x = 0} and
+    # {z2 = z3 = 0}
+    rng = np.random.default_rng(53)
+    y = rng.standard_normal((400, 7))
+    c = rng.uniform(0.25, 4.0, (400, 3))
+    nx = (y[:, :4] ** 2).sum(axis=1)
+    closed = 4.0 * (y[:, 5] ** 2 + y[:, 6] ** 2) * nx ** 3
+    assert np.abs(_gram_det(y, c) / closed - 1.0).max() <= 1e-12
+    on_x = y.copy()
+    on_x[:, :4] = 0.0
+    assert np.all(_gram_det(on_x, c) == 0.0)
+    on_z = y.copy()
+    on_z[:, 5:] = 0.0  # rank 3: the last pivot is roundoff, eps |x|
+    assert np.all(_gram_det(on_z, c) <= 1e-24 * nx ** 4)
+    assert solve_batch(s7.space, y, c).unique.all()
+    for on_stratum in (on_x, on_z):
+        assert not solve_batch(s7.space, on_stratum, c).unique.any()
+
+
 def test_extended_matrix_rejects_bad_weights():
     with pytest.raises(ValueError, match="positive"):
         extended_matrix(np.ones(7), [1.0, 1.0, -1.0])
@@ -290,22 +317,19 @@ def test_equivariance_sweep_validates_its_metric_once(monkeypatch):
 # -- the documented draws ---------------------------------------------------------------
 
 def _reference_y_c(seed, n):
-    """Per sample: a base vector, then a weight triple."""
+    """One array per call: the base vectors, then the weight triples."""
     rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(7), rng.uniform(0.25, 4.0, size=3))
-             for _ in range(n)]
-    return tuple(map(np.array, zip(*draws)))
+    return rng.standard_normal((n, 7)), rng.uniform(0.25, 4.0, (n, 3))
 
 
 def _reference_v_h_t(seed, n):
-    """Per sample: a base vector, an isotropy vector, then a time."""
+    """One array per call: base vectors, isotropy vectors, then times."""
     rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(7), rng.standard_normal(4),
-              rng.uniform(-1.0, 1.0)) for _ in range(n)]
-    return tuple(map(np.array, zip(*draws)))
+    return (rng.standard_normal((n, 7)), rng.standard_normal((n, 4)),
+            rng.uniform(-1.0, 1.0, n))
 
 
-def test_draws_equal_the_per_sample_loops(s7, monkeypatch):
+def test_draws_equal_the_documented_bulk_calls(s7, monkeypatch):
     from finslergo import s7_catalog
     seen = {}
 
