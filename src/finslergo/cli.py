@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,48 +28,10 @@ EXIT_MATH_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
-DEFAULT_SAMPLES = 1000
-DEFAULT_SEED = 0
-
-
-@dataclass
-class RunConfig:
-    space: str = "s7"
-    l_spec: str = "sum_sq:1"
-    family: object = None
-    y: object = None
-    samples: int = DEFAULT_SAMPLES
-    seed: int = DEFAULT_SEED
-    tol: float | None = None
-    out: str | None = None
-    fmt: str | None = None
-    t_max: float = 2.0 * np.pi
-    steps: int = 200
-
-    def __post_init__(self):
-        # config-file values arrive unconverted: no bool, str or fraction
-        integers = ("samples", "seed", "steps")
-        for key in (*integers, "t_max", "tol"):
-            value, whole = getattr(self, key), key in integers
-            if value is None and key == "tol":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or whole and value % 1):  # a fraction, inf or nan
-                kind = "an integer" if whole else "a number"
-                raise ValueError(f"{key} must be {kind}, not {value!r}")
-            setattr(self, key, int(value) if whole else float(value))
-        if self.samples < 1:
-            raise ValueError("--samples must be at least 1")
-        if self.seed < 0:
-            raise ValueError("--seed must be non-negative")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError("--tol must be positive")
-        if not np.isfinite(self.t_max):
-            raise ValueError("--t-max must be finite")
-        if self.family is not None:
-            self.family = _parse_matrix(self.family)
-        if self.y is not None:
-            self.y = _parse_coords(self.y)
+# Every value a command reads, by config-file key, which is also its dest.
+_DEFAULTS = {"space": "s7", "l": "sum_sq:1", "family": None, "y": None,
+             "samples": 1000, "seed": 0, "tol": None, "out": None,
+             "format": None, "t_max": 2.0 * np.pi, "steps": 200}
 
 
 def _parse_matrix(value) -> np.ndarray:
@@ -89,44 +50,64 @@ def _parse_matrix(value) -> np.ndarray:
 
 
 def _parse_coords(value) -> np.ndarray:
-    message = "--y must be a flat list of numbers, as in '1,0,0,0,0,0,0'"
     try:
         if isinstance(value, str):
             value = [float(x) for x in value.split(",") if x.strip()]
         v = np.asarray(value, dtype=float)
+        if v.ndim != 1:
+            raise ValueError
     except (TypeError, ValueError):
-        raise ValueError(message) from None
-    if v.ndim != 1:
-        raise ValueError(message)
+        raise ValueError("--y must be a flat list of numbers, as in "
+                         "'1,0,0,0,0,0,0'") from None
     return v
 
 
-_CONFIG_KEYS = {
-    "space": "space", "l": "l_spec", "family": "family", "y": "y",
-    "samples": "samples", "seed": "seed", "tol": "tol", "out": "out",
-    "format": "fmt", "t_max": "t_max", "steps": "steps",
-}
-
-
-def _resolve_config(args) -> RunConfig:
-    """Merge config-file values under explicit flags, then apply defaults."""
-    values = {}
-    if getattr(args, "config", None):
+def _resolve_config(args) -> argparse.Namespace:
+    """Config-file values over the defaults, explicit flags over both."""
+    cfg = dict(_DEFAULTS)
+    if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError("--config must hold a JSON object of flag values")
-        for key, attr in _CONFIG_KEYS.items():
-            if key in doc:
-                values[attr] = doc[key]
-    for attr in _CONFIG_KEYS.values():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            values[attr] = flag
-    return RunConfig(**values)
+        cfg.update((key, doc[key]) for key in _DEFAULTS if key in doc)
+    cfg.update((key, getattr(args, key)) for key in _DEFAULTS
+               if getattr(args, key, None) is not None)
+    # config-file values arrive unconverted: no bool, str or fraction
+    integers = ("samples", "seed", "steps")
+    for key in (*integers, "t_max", "tol"):
+        value, whole = cfg[key], key in integers
+        if value is None and key == "tol":
+            continue
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or whole and value % 1):  # a fraction, inf or nan
+            kind = "an integer" if whole else "a number"
+            raise ValueError(f"{key} must be {kind}, not {value!r}")
+        cfg[key] = int(value) if whole else float(value)
+    if cfg["samples"] < 1:
+        raise ValueError("--samples must be at least 1")
+    if cfg["seed"] < 0:
+        raise ValueError("--seed must be non-negative")
+    if cfg["tol"] is not None and not cfg["tol"] > 0:
+        raise ValueError("--tol must be positive")
+    if not np.isfinite(cfg["t_max"]):
+        raise ValueError("--t-max must be finite")
+    if cfg["family"] is not None:
+        cfg["family"] = _parse_matrix(cfg["family"])
+    if cfg["y"] is not None:
+        cfg["y"] = _parse_coords(cfg["y"])
+    return argparse.Namespace(**cfg)
 
 
-def _load_setup(cfg: RunConfig):
+def _combiner(spec):
+    """The combiner of an --l spec; a ValueError names the flag."""
+    try:
+        return l_function_from_spec(spec)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"--l {spec!r}: {exc}") from None
+
+
+def _load_setup(cfg: argparse.Namespace):
     """Space, optional matrix realization, and the configured metric."""
     if cfg.space == "s7":
         s7 = build_s7_space()
@@ -136,7 +117,7 @@ def _load_setup(cfg: RunConfig):
             doc = json.load(fh)
         space, file_family = load_space_document(doc)
         realization = None
-    lf = l_function_from_spec(cfg.l_spec)
+    lf = _combiner(cfg.l)
     if cfg.family is not None:
         family = MetricFamily(space, cfg.family)
     elif file_family is not None:
@@ -160,10 +141,10 @@ def _emit(text: str, out: str | None) -> None:
 # -- commands -------------------------------------------------------------
 
 
-def cmd_validate_l(cfg: RunConfig) -> int:
-    lf = l_function_from_spec(cfg.l_spec)
+def cmd_validate_l(cfg: argparse.Namespace) -> int:
+    lf = _combiner(cfg.l)
     report = validate_l(lf, sample_count=cfg.samples, seed=cfg.seed)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         doc = {
             "kind": lf.kind,
             "conditions": [
@@ -187,12 +168,12 @@ def cmd_validate_l(cfg: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
-def cmd_graph(cfg: RunConfig) -> int:
+def cmd_graph(cfg: argparse.Namespace) -> int:
     if cfg.y is None:
         raise ValueError("graph requires --y coordinates")
     _, _, metric = _load_setup(cfg)
     result = solve_geodesic_graph(metric, cfg.y)
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         header = [*metric.space.m_labels(),
                   *(f"xi_{h}" for h in metric.space.h_labels()),
                   "residual", "rank", "unique"]
@@ -207,11 +188,11 @@ def cmd_graph(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg: argparse.Namespace) -> int:
     _, _, metric = _load_setup(cfg)
     report = go_property_scan(metric, cfg.samples, cfg.seed)
     tol = cfg.tol if cfg.tol is not None else 1e-9
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         doc = report.to_json_dict()
         doc["tol"] = tol
         doc["passed"] = report.max_residual < tol
@@ -221,7 +202,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_OK if report.max_residual < tol else EXIT_MATH_FAIL
 
 
-def cmd_verify_s7(cfg: RunConfig) -> int:
+def cmd_verify_s7(cfg: argparse.Namespace) -> int:
     s7 = build_s7_space()
     sweep_n = max(20, cfg.samples // 10)
 
@@ -250,7 +231,7 @@ def cmd_verify_s7(cfg: RunConfig) -> int:
     return EXIT_OK if passed else EXIT_MATH_FAIL
 
 
-def cmd_orbit(cfg: RunConfig) -> int:
+def cmd_orbit(cfg: argparse.Namespace) -> int:
     if cfg.y is None:
         raise ValueError("orbit requires --y coordinates")
     if cfg.steps < 2:
@@ -265,7 +246,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
     norm_tol = cfg.tol if cfg.tol is not None else 1e-9
     norms_ok = bool(np.all(np.abs(np.linalg.norm(points, axis=1) - 1.0)
                            <= norm_tol))
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         doc = {"t": [float(t) for t in t_values],
                "points": [[float(x) for x in row] for row in points],
                "unit_norm": norms_ok}
@@ -284,7 +265,7 @@ def cmd_orbit(cfg: RunConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--space", help="path to a space JSON file, or 's7'")
-    common.add_argument("--l", dest="l_spec",
+    common.add_argument("--l", metavar="L_SPEC",
                         help="combiner spec 'kind:w1,w2,...' "
                              "(sum_sq, sq_sum, or sum)")
     common.add_argument("--family",
@@ -293,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--tol", type=float)
     common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", dest="fmt", choices=["json", "csv"])
+    common.add_argument("--format", choices=["json", "csv"])
     common.add_argument("--config", help="JSON config file; flags win")
 
     parser = argparse.ArgumentParser(
@@ -318,19 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", parents=[common],
                              help="emit points of the homogeneous geodesic")
     p_orbit.add_argument("--y", help="base vector coordinates")
-    p_orbit.add_argument("--t-max", dest="t_max", type=float)
+    p_orbit.add_argument("--t-max", type=float)
     p_orbit.add_argument("--steps", type=int)
 
     return parser
 
 
-_COMMANDS = {
-    "validate-l": cmd_validate_l,
-    "graph": cmd_graph,
-    "scan": cmd_scan,
-    "verify-s7": cmd_verify_s7,
-    "orbit": cmd_orbit,
-}
+_COMMANDS = {"validate-l": cmd_validate_l, "graph": cmd_graph,
+             "scan": cmd_scan, "verify-s7": cmd_verify_s7, "orbit": cmd_orbit}
 
 
 def main(argv=None) -> int:

@@ -165,7 +165,7 @@ def _positive_weights(weights) -> Vector:
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValueError("weights must be positive")
+        raise ValueError("weights must be finite and positive")
     return w
 
 
@@ -318,7 +318,7 @@ class FinslerMetric:
         F(y) overflows or underflows only where its own value does, and
         numpy warns of neither.
         """
-        ym = self.space.coerce_m(y, allow_zero=True)
+        ym = self.space._coerce_one(y, allow_zero=True)
         if not np.any(ym):
             return 0.0
         e = int(np.frexp(np.abs(ym).max())[1])
@@ -348,8 +348,8 @@ class FinslerMetric:
     def fundamental_contraction(self, y, v) -> float:
         """g_y(y, v) = sum_i C_i alpha_i(y, v), with C (of degree 0) taken at
         y / 2^e as in :meth:`f_value`; so g_y(2^s y, v) = 2^s g_y(y, v)."""
-        ym = self.space.coerce_m(y)
-        vm = self.space.coerce_m(v, allow_zero=True)
+        ym = self.space._coerce_one(y)
+        vm = self.space._coerce_one(v, allow_zero=True)
         c = self._c(np.ldexp(ym, -int(np.frexp(np.abs(ym).max())[1])))
         return float(self.space.weighted_apply(ym, c) @ vm)
 
@@ -357,8 +357,8 @@ class FinslerMetric:
         """Independent oracle: central difference of 0.5*F^2(y + t v) at 0."""
         if step <= 0:
             raise ValueError("step must be positive")
-        ym = self.space.coerce_m(y)
-        vm = self.space.coerce_m(v, allow_zero=True)
+        ym = self.space._coerce_one(y)
+        vm = self.space._coerce_one(v, allow_zero=True)
         fp = self.f_value(ym + step * vm) ** 2
         fm = self.f_value(ym - step * vm) ** 2
         return (fp - fm) / (4.0 * step)
@@ -380,6 +380,8 @@ def l_function_from_spec(doc) -> LFunction:
         kind, _, tail = doc.partition(":")
         weights = [float(x) for x in tail.split(",")] if tail else []
         doc = {"kind": kind.strip(), "weights": weights}
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected 'kind:w1,w2,...' or a dict, got {doc!r}")
     kind = doc.get("kind")
     weights = doc.get("weights", [])
     if kind == "sum_sq":

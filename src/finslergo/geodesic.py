@@ -190,11 +190,12 @@ def assemble(space, Y, C):
 
 
 def criterion_residuals(space, Y, C, Xi) -> np.ndarray:
-    """Criterion residual vectors ``[N, dim_m]`` of y + xi, per row."""
+    """Criterion residual vectors ``[N, dim_m]`` of y + xi, per row; Xi
+    holds h-coordinates or full-length rows, as :meth:`coerce_h` takes."""
     Y, C = _rows(space, Y, C)
-    Xi = np.asarray(Xi, dtype=float)
-    if Xi.shape != (len(Y), space.dim_h) or not np.isfinite(Xi).all():
-        raise ValueError(f"expected finite Xi[{len(Y)}, {space.dim_h}]")
+    Xi = space.coerce_h(Xi)
+    if Xi.shape != (len(Y), space.dim_h):
+        raise ValueError(f"expected Xi[{len(Y)}, {space.dim_h}]")
     return _criterion(space, Y, C, Xi)
 
 
@@ -257,14 +258,15 @@ class GeodesicGraphResult:
 
 def _one(metric: FinslerMetric, y):
     """One base vector as a batch of one, with its block weights."""
-    ym = metric.space.coerce_m(y)[None]
+    ym = metric.space._coerce_one(y)[None]
     return ym, metric._c(ym)
 
 
 def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
     """Left side of the geodesic-vector criterion; zero iff y + xi qualifies."""
     ym, c = _one(metric, y)
-    return _criterion(metric.space, ym, c, metric.space.coerce_h(xi)[None])[0]
+    xi = metric.space._coerce_one(xi, "h")[None]
+    return _criterion(metric.space, ym, c, xi)[0]
 
 
 def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
@@ -322,9 +324,7 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T):
     unique solution.
     """
     space = metric.space
-    Y = space.coerce_m(Y)
-    H = np.asarray(H, dtype=float)
-    T = np.asarray(T, dtype=float)
+    Y, H, T = space.coerce_m(Y), space.coerce_h(H), np.asarray(T, dtype=float)
     if Y.ndim != 2 or H.shape != (len(Y), space.dim_h) or T.shape != (len(Y),):
         raise ValueError(f"expected Y[N, {space.dim_m}], H[N, {space.dim_h}] "
                          f"and T[N], got {Y.shape}, {H.shape} and {T.shape}")
@@ -408,15 +408,16 @@ class MatrixRealization(_Record):
     matrices: np.ndarray
     base_point: np.ndarray
 
-    def __post_init__(self):
-        m = np.asarray(self.matrices, dtype=float)
-        p = np.asarray(self.base_point, dtype=float)
+    def __init__(self, matrices, base_point):
+        m = np.asarray(matrices, dtype=float)
+        p = np.asarray(base_point, dtype=float)
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must be a (dim, N, N) stack")
         if p.shape != (m.shape[1],):
             raise ValueError("base point length must match the matrix size")
-        object.__setattr__(self, "matrices", m)
-        object.__setattr__(self, "base_point", p)
+        if not (np.isfinite(m).all() and np.isfinite(p).all()):
+            raise ValueError("matrices and base point must be finite")
+        super().__init__(m, p)
 
     @property
     def dim(self) -> int:

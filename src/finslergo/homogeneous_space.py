@@ -39,6 +39,9 @@ class ReductiveSpace:
                        for blk in blocks]
         self.m_indices = (np.concatenate(self.blocks)
                           if self.blocks else np.array([], dtype=int))
+        # per part: its indices, the other part's, and the other part's name
+        self._parts = {"m": (self.m_indices, self.h_indices, "isotropy"),
+                       "h": (self.h_indices, self.m_indices, "complement")}
 
         used = list(self.h_indices) + list(self.m_indices)
         if sorted(used) != list(range(alg.dim)):
@@ -60,7 +63,7 @@ class ReductiveSpace:
 
         # Per-space tensors of the batched criterion: block i's Gram placed
         # in its m-slice, the block of each m-coordinate, the structure
-        # constants c[i, a, k] of [e_i, U_a]_m for i in h and for all i, and
+        # constants c[i, a, k] of [e_i, U_a]_m for all i, and
         # c[h + m, m, m] as one matrix, which gives A and b in one product.
         m, h = self.m_indices, self.h_indices
         self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
@@ -74,7 +77,6 @@ class ReductiveSpace:
         self._block_sums = np.equal.outer(
             self._block_of, np.arange(self.n_blocks)).astype(float)
         c = alg.structure
-        self.c_hmm = c[np.ix_(h, m, m)]
         self.c_gmm = c[:, m][:, :, m]
         self.c_system = c[np.ix_(np.concatenate([h, m]), m, m)].transpose(
             2, 0, 1).reshape(self.dim_m, self.dim * self.dim_m)
@@ -105,23 +107,48 @@ class ReductiveSpace:
 
     # -- coordinates ---------------------------------------------------------
 
+    def _coords(self, v, part: str) -> np.ndarray:
+        """v as floats whose last axis holds coordinates of part "m" or "h"."""
+        n = len(self._parts[part][0])
+        v = np.asarray(v, dtype=float)
+        if v.shape[-1:] != (n,):
+            raise ValueError(f"expected {n} {part}-coordinates")
+        return v
+
+    def _embed(self, v, part: str) -> Vector:
+        v = self._coords(v, part)
+        full = np.zeros(v.shape[:-1] + (self.dim,))
+        full[..., self._parts[part][0]] = v
+        return full
+
     def embed_m(self, vm) -> Vector:
         """Full coordinates of m-coordinates ``[..., dim_m]``."""
-        vm = np.asarray(vm, dtype=float)
-        if vm.shape[-1:] != (self.dim_m,):
-            raise ValueError(f"expected {self.dim_m} m-coordinates")
-        v = np.zeros(vm.shape[:-1] + (self.dim,))
-        v[..., self.m_indices] = vm
-        return v
+        return self._embed(vm, "m")
 
     def embed_h(self, vh) -> Vector:
         """Full coordinates of h-coordinates ``[..., dim_h]``."""
-        vh = np.asarray(vh, dtype=float)
-        if vh.shape[-1:] != (self.dim_h,):
-            raise ValueError(f"expected {self.dim_h} h-coordinates")
-        v = np.zeros(vh.shape[:-1] + (self.dim,))
-        v[..., self.h_indices] = vh
-        return v
+        return self._embed(vh, "h")
+
+    def _coerce(self, v, part: str, allow_zero: bool) -> Vector:
+        own, other, other_name = self._parts[part]
+        v = np.asarray(v, dtype=float)
+        n = v.shape[-1] if v.ndim in (1, 2) else None
+        if n == self.dim and self.dim != len(own):
+            if v[..., other].any():
+                raise ValueError(f"vector has {other_name} components; "
+                                 f"project it onto {part} first")
+            coords = v[..., own]
+        elif n == len(own):
+            coords = v.copy()
+        else:
+            raise ValueError(
+                f"expected {len(own)} {part}-coordinates or {self.dim} full "
+                f"coordinates, got shape {v.shape}")
+        if not np.isfinite(coords).all():
+            raise ValueError("coordinates must be finite")
+        if not allow_zero and not coords.any(axis=-1).all():
+            raise ValueError("the zero vector is not allowed here")
+        return coords
 
     def coerce_m(self, v, allow_zero: bool = False) -> Vector:
         """m-coordinates of a vector, or of each row of a batch ``[N, n]``,
@@ -131,42 +158,20 @@ class ReductiveSpace:
         in m is the caller's responsibility, enforced, not assumed.  NaN and
         infinite entries are rejected.
         """
-        v = np.asarray(v, dtype=float)
-        n = v.shape[-1] if v.ndim in (1, 2) else None
-        if n == self.dim and self.dim != self.dim_m:
-            if v[..., self.h_indices].any():
-                raise ValueError(
-                    "vector has isotropy components; project it onto m first")
-            vm = v[..., self.m_indices]
-        elif n == self.dim_m:
-            vm = v.copy()
-        else:
-            raise ValueError(
-                f"expected {self.dim_m} m-coordinates or {self.dim} full "
-                f"coordinates, got shape {v.shape}")
-        if not np.isfinite(vm).all():
-            raise ValueError("coordinates must be finite")
-        if not allow_zero and not vm.any(axis=-1).all():
-            raise ValueError("the zero vector is not allowed here")
-        return vm
+        return self._coerce(v, "m", allow_zero)
 
     def coerce_h(self, v) -> Vector:
-        """h-coordinates of a vector given in full or h-coordinates."""
-        v = np.asarray(v, dtype=float)
-        if v.shape == (self.dim,) and self.dim != self.dim_h:
-            if np.any(v[self.m_indices] != 0.0):
-                raise ValueError(
-                    "vector has complement components; project it onto h first")
-            vh = v[self.h_indices]
-        elif v.shape == (self.dim_h,):
-            vh = v.copy()
-        else:
-            raise ValueError(
-                f"expected {self.dim_h} h-coordinates or {self.dim} full "
-                f"coordinates, got shape {v.shape}")
-        if not np.isfinite(vh).all():
-            raise ValueError("coordinates must be finite")
-        return vh
+        """h-coordinates of a vector or of rows ``[N, n]``, as
+        :meth:`coerce_m` gives m-coordinates, with the zero vector allowed."""
+        return self._coerce(v, "h", True)
+
+    def _coerce_one(self, v, part: str = "m", allow_zero: bool = False):
+        """:meth:`coerce_m` or :meth:`coerce_h` of one vector, not rows."""
+        if np.ndim(v) != 1:
+            n = len(self._parts[part][0])
+            raise ValueError(f"expected one vector [{n}] or [{self.dim}], "
+                             f"got shape {np.shape(v)}")
+        return self.coerce_m(v, allow_zero) if part == "m" else self.coerce_h(v)
 
     # -- block scalar products -------------------------------------------------
 
@@ -190,9 +195,7 @@ class ReductiveSpace:
 
     def block_quadratics(self, vm) -> Vector:
         """Per-block values alpha_i(v, v) of m-coordinates ``[..., dim_m]``."""
-        vm = np.asarray(vm, dtype=float)
-        if vm.shape[-1:] != (self.dim_m,):
-            raise ValueError(f"expected {self.dim_m} m-coordinates")
+        vm = self._coords(vm, "m")
         return ((vm * self._apply_gram(vm))[..., None, :]
                 @ self._block_sums)[..., 0, :]
 
@@ -206,10 +209,10 @@ class ReductiveSpace:
         for the Jacobi identity, which is quadratic in the constants c.
         """
         c, h, m = self.alg.structure, self.h_indices, self.m_indices
-        gram = self._gram
+        gram, c_hmm = self._gram, c[np.ix_(h, m, m)]
         # alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v) = 0 within each block,
         # with ad(e_n) on m the transpose of c_hmm[n]
-        moved = self.c_hmm @ gram + gram @ self.c_hmm.transpose(0, 2, 1)
+        moved = c_hmm @ gram + gram @ c_hmm.transpose(0, 2, 1)
         in_block = np.equal.outer(self._block_of, self._block_of)
         worst = {
             "subalgebra": np.abs(c[np.ix_(h, h, m)]).max(initial=0.0),

@@ -11,9 +11,11 @@ defined here, in the module all others import.
 Every result type of the library except ``GeodesicGraphResult`` derives
 from the private base ``_Record``, an immutable record without generated
 code.  A subclass declares its fields as class annotations, in order, and
-a default as a class attribute.  Construction takes the fields by
-position or keyword and raises ``TypeError`` on a missing or unknown one,
-then runs ``__post_init__``.  Fields named in ``_hidden`` are left out of
+a default as a class attribute.  Every construction binds the arguments in
+``_Record._bind``: the fields by position or keyword, with ``TypeError`` on
+a missing or unknown one.  A subclass that converts or checks its
+arguments defines its own ``__init__`` and passes the results on to
+``_Record.__init__``.  Fields named in ``_hidden`` are left out of
 ``repr``, ``==`` and ``hash``, which compare the remaining fields as a
 tuple.  Assigning or deleting an attribute raises ``AttributeError``;
 ``functools.cached_property`` still works, since it writes the instance
@@ -29,8 +31,6 @@ Vector = np.ndarray
 
 JACOBI_TOL = 1e-12
 
-_set_dict = object.__setattr__
-
 
 class _Record:
     """Immutable record over the annotated fields of a subclass."""
@@ -43,43 +43,31 @@ class _Record:
         cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__",
                                                            ()))
         cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
-        # a call with every field by keyword adopts the keyword dict as the
-        # instance dict; a class with a __post_init__ always binds
-        cls._all_keywords = (None if cls.__post_init__ is not
-                             _Record.__post_init__ else frozenset(cls._fields))
 
     def __init__(self, *args, **kwargs):
-        if not args and kwargs.keys() == self._all_keywords:
-            _set_dict(self, "__dict__", kwargs)
-            return
-        _set_dict(self, "__dict__", self._bind(args, kwargs))
-        self.__post_init__()
+        object.__setattr__(self, "__dict__", self._bind(args, kwargs))
 
     @classmethod
     def _bind(cls, args, kwargs) -> dict:
-        name = cls.__qualname__
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{name}() takes {len(cls._fields)} positional "
+        fields, name = cls._fields, cls.__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} positional "
                             f"arguments but {len(args)} were given")
-        values = dict(zip(cls._fields, args))
-        for key, value in kwargs.items():
-            if key not in cls._fields:
+        values = dict(zip(fields, args))
+        for key in kwargs:
+            if key not in fields:
                 raise TypeError(
                     f"{name}() got an unexpected keyword argument {key!r}")
             if key in values:
                 raise TypeError(
                     f"{name}() got multiple values for argument {key!r}")
-            values[key] = value
-        missing = [f for f in cls._fields
-                   if f not in values and not hasattr(cls, f)]
+        values.update(kwargs)
+        missing = [f for f in fields if f not in values and not hasattr(cls, f)]
         if missing:
             raise TypeError(f"{name}() missing required arguments: "
                             + ", ".join(map(repr, missing)))
         return {f: values[f] if f in values else getattr(cls, f)
-                for f in cls._fields}
-
-    def __post_init__(self):
-        pass
+                for f in fields}
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._shown)
@@ -209,6 +197,8 @@ class LieAlgebra:
         if v.shape != (self.dim,):
             raise ValueError(
                 f"expected a vector of length {self.dim}, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            raise ValueError("coordinates must be finite")
         return v
 
     # -- algebra operations ------------------------------------------------

@@ -220,6 +220,63 @@ def test_non_finite_coordinates_are_rejected(s7, round_metric, bad):
         solve_batch(s7.space, rows, np.ones((4, 3)))
 
 
+def test_coerce_h_rows_equal_per_row_calls(s7):
+    space = s7.space
+    h_rows = np.random.default_rng(17).standard_normal((6, 4))
+    full = space.embed_h(h_rows)
+    for rows in (h_rows, full):
+        got = space.coerce_h(rows)
+        each = np.stack([space.coerce_h(row) for row in rows])
+        assert got.shape == (6, 4) and got.tobytes() == each.tobytes()
+        assert got.tobytes() == h_rows.tobytes()
+    full[3, space.m_indices[0]] = 1e-300
+    with pytest.raises(ValueError, match="complement"):
+        space.coerce_h(full)
+
+
+def test_criterion_residuals_take_h_rows_or_full_rows(s7):
+    rng = np.random.default_rng(23)
+    y, xi = rng.standard_normal((8, 7)), rng.standard_normal((8, 4))
+    for metric in _s7_metrics(s7).values():
+        c = metric.c_coefficients(y)
+        by_h = criterion_residuals(s7.space, y, c, xi)
+        by_full = criterion_residuals(s7.space, y, c, s7.space.embed_h(xi))
+        assert by_h.tobytes() == by_full.tobytes()
+    with pytest.raises(ValueError, match=r"Xi\[8, 4\]"):
+        criterion_residuals(s7.space, y, c, xi[0])  # would broadcast
+    with pytest.raises(ValueError, match="complement"):
+        criterion_residuals(s7.space, y, c, np.ones((8, 11)))
+
+
+_ROWS = np.ones((2, 7))
+_ONE_VECTOR_CALLS = {
+    "solve_geodesic_graph": lambda m: solve_geodesic_graph(m, _ROWS),
+    "geodesic_residual y": lambda m: geodesic_residual(m, _ROWS, np.zeros(4)),
+    "geodesic_residual xi": lambda m: geodesic_residual(m, np.ones(7),
+                                                        np.zeros((2, 4))),
+    "f_value": lambda m: m.f_value(_ROWS),
+    "fundamental_contraction y": lambda m: m.fundamental_contraction(
+        _ROWS, np.ones(7)),
+    "fundamental_contraction v": lambda m: m.fundamental_contraction(
+        np.ones(7), _ROWS),
+    "fd_fundamental y": lambda m: m.fd_fundamental(_ROWS, np.ones(7)),
+    "fd_fundamental v": lambda m: m.fd_fundamental(np.ones(7), _ROWS),
+}
+
+
+@pytest.mark.parametrize("name", _ONE_VECTOR_CALLS)
+def test_one_vector_entry_points_reject_rows(round_metric, name):
+    shape = r"\[4\] or \[11\], got shape \(2, 4\)" if name.endswith(" xi") \
+        else r"\[7\] or \[11\], got shape \(2, 7\)"
+    with pytest.raises(ValueError, match="expected one vector " + shape):
+        _ONE_VECTOR_CALLS[name](round_metric)
+
+
+def test_is_geodesic_vector_rejects_rows(round_metric):
+    with pytest.raises(ValueError, match=r"length 11, got shape \(2, 11\)"):
+        is_geodesic_vector(round_metric, np.ones((2, 11)))
+
+
 def test_non_finite_graph_input_exits_2_without_lapack_noise(capfd):
     code = main(["graph", "--y", "nan,1,1,1,1,1,1"])
     out, err = capfd.readouterr()

@@ -436,3 +436,43 @@ def test_non_finite_t_max_is_rejected_before_the_solve(capsys, monkeypatch,
 def test_malformed_numbers_name_the_flag(capsys, flags, flag):
     code, _, err = run(capsys, "graph", "--y", "1,0,0,0,0,0,0", *flags)
     assert code == 2 and err.startswith(f"error: {flag} ")
+
+
+@pytest.mark.parametrize("spec, detail", [
+    ("sq_sum:1,x", "could not convert string to float: 'x'"),
+    ("sq_sum:1e400,1", "weights must be finite and positive"),
+    ("nope:1", "unknown combiner kind 'nope'"), (3, "expected 'kind:")])
+def test_bad_combiner_spec_names_the_flag(capsys, tmp_path, spec, detail):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"l": spec}))
+    runs = [run(capsys, "graph", "--y", "1,0,0,0,0,0,0", "--config",
+                str(cfg))]
+    if isinstance(spec, str):
+        runs.append(run(capsys, "graph", "--y", "1,0,0,0,0,0,0", "--l", spec))
+    for code, out, err in runs:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --l {spec!r}: ") and detail in err
+
+
+_Y = "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8"
+
+
+@pytest.mark.parametrize("command, key, value, base", [
+    ("graph", "y", _Y, []),
+    ("graph", "l", "sq_sum:1,3", ["--y", _Y]),
+    ("graph", "family", "1,1,1;2,1,4", ["--y", _Y, "--l", "sq_sum:1,3"]),
+    ("graph", "format", "csv", ["--y", _Y]),
+    ("graph", "tol", 1e-20, ["--y", _Y]),
+    ("scan", "samples", 30, []),
+    ("scan", "seed", 5, ["--samples", "30"]),
+    ("orbit", "t_max", 1.5, ["--y", _Y, "--steps", "5"]),
+    ("orbit", "steps", 7, ["--y", _Y])])
+def test_config_key_gives_the_output_of_its_flag(capsys, tmp_path, command,
+                                                 key, value, base):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    by_flag = run(capsys, command, *base, flag, str(value))
+    assert by_flag[0] in (0, 1) and by_flag[1] and not by_flag[2]
+    assert run(capsys, command, *base, "--config", str(cfg)) == by_flag
+    assert run(capsys, command, *base) != by_flag  # the key takes effect

@@ -70,6 +70,16 @@ def test_bracket_dimension_mismatch(so3):
         so3.bracket([1.0, 0.0], [0.0, 1.0, 0.0])
 
 
+def test_non_finite_coordinates_are_rejected_on_arrival(s7):
+    alg = s7.algebra
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        alg.bracket(np.full(11, np.nan), alg.basis_vector(0))
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        alg.ad_operator([np.inf] + [0.0] * 10)
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        alg.vector([0.0] * 10 + [-np.inf])
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_bracket_antisymmetric_and_bilinear(data):

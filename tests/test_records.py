@@ -153,6 +153,16 @@ def test_matrix_realization_still_checks_and_converts():
     assert real.dim == 1
 
 
+@pytest.mark.parametrize("field", ["matrices", "base_point"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_matrix_realization_rejects_non_finite_input(s7, field, bad):
+    values = {"matrices": s7.realization.matrices.copy(),
+              "base_point": s7.realization.base_point.copy()}
+    values[field].flat[-1] = bad  # a NaN base point used to give NaN orbits
+    with pytest.raises(ValueError, match="finite"):
+        MatrixRealization(**values)
+
+
 def test_only_geodesic_graph_result_is_a_dataclass():
     code = """import dataclasses, finslergo
 print(sorted(n for n in finslergo.__all__
