@@ -92,6 +92,9 @@ def _resolve_config(args) -> argparse.Namespace:
         raise ValueError("--tol must be positive")
     if not np.isfinite(cfg["t_max"]):
         raise ValueError("--t-max must be finite")
+    if cfg["format"] not in (None, "json", "csv"):
+        raise ValueError(f"--format must be 'json' or 'csv', not "
+                         f"{cfg['format']!r}")
     if cfg["family"] is not None:
         cfg["family"] = _parse_matrix(cfg["family"])
     if cfg["y"] is not None:

@@ -291,7 +291,7 @@ class FinslerMetric:
     def _b(self, ym: Vector) -> Vector:
         with np.errstate(over="ignore", invalid="ignore"):
             u = self._norms(ym)
-            if not np.all((u > 0.0) & (u < np.inf)):
+            if not ((u > 0.0) & (u < np.inf)).all():
                 raise np.linalg.LinAlgError(
                     "the criterion system is not finite: the squared norm "
                     "of y overflows or underflows")

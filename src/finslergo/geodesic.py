@@ -24,6 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .finsler_metric import FinslerMetric
+from .homogeneous_space import STRUCTURAL_TOL
 from .lie_algebra import Check, Vector, _Record, matrix_exponential
 
 RANK_RCOND = 1e-10
@@ -40,7 +41,8 @@ def float_repr(x) -> str:
 # Row n of every array below belongs to base vector Y[n].  Each contraction
 # is evaluated item by item (stacked matrix products, einsum over the batch
 # axis), so a row's result is bit-for-bit the same in a batch of one and in
-# a batch of any size.
+# a batch of any size.  Shared operands stay stacked per row too: w @ M
+# would run as gemv for one row and gemm for many, which round differently.
 
 
 def _rows(space, Y, C):
@@ -58,13 +60,13 @@ def _rows(space, Y, C):
 
 def _criterion(space, Y, C, Xi) -> np.ndarray:
     """The bracket oracle: component a is sum_i C_i alpha_i(y, [w, U_a]_m)
-    with w = y + xi, computed from the structure constants directly.
+    with w = y + xi, from the structure constants by one product per row.
     A result that overflows raises ``LinAlgError``, with no numpy warning."""
     w = np.zeros((len(Y), space.dim))
     w[:, space.m_indices] = Y
     w[:, space.h_indices] = Xi
     with np.errstate(over="ignore", invalid="ignore"):
-        brackets = np.einsum("ni,iak->nak", w, space.c_gmm)
+        brackets = (w[:, None, :] @ space.c_gmm).reshape(*Y.shape, -1)
         out = (brackets @ space.weighted_apply(Y, C)[..., None])[..., 0]
     _require_finite(out)
     return out
@@ -318,33 +320,33 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T):
     """Compare solving after transport with transporting the solution.
 
     Row n transports ``Y[n]`` by exp(T[n] ad(H[n])) for an isotropy vector
-    ``H[n]`` and solves at both points.  Returns ``(deviation,
-    unique_source, unique_transported)``, arrays over the rows: the norm of
+    ``H[n]``, exponentiated on m and on h apart, and solves at both points
+    in one batch.  Returns ``(deviation, unique_source,
+    unique_transported)``, arrays over the rows: the norm of
     xi(transported y) - transported xi(y), and whether each side has a
-    unique solution.
+    unique solution.  A split whose brackets [h, m] or [h, h] leave m or h
+    by more than ``STRUCTURAL_TOL`` raises ``ValueError``.
     """
     space = metric.space
     Y, H, T = space.coerce_m(Y), space.coerce_h(H), np.asarray(T, dtype=float)
     if Y.ndim != 2 or H.shape != (len(Y), space.dim_h) or T.shape != (len(Y),):
         raise ValueError(f"expected Y[N, {space.dim_m}], H[N, {space.dim_h}] "
                          f"and T[N], got {Y.shape}, {H.shape} and {T.shape}")
-    m, h = space.m_indices, space.h_indices
-    ad = np.einsum("ni,ijk->nkj", space.embed_h(H), space.alg.structure)
-    ad_exp = matrix_exponential(ad, T)
-    y_moved = (ad_exp @ space.embed_m(Y)[..., None])[..., 0]
-    stray = np.abs(y_moved[:, h]).max(axis=1, initial=0.0)
-    if np.any(stray > 1e-8 * np.maximum(1.0, np.abs(y_moved).max(axis=1))):
+    c, m, h = space.alg.structure, space.m_indices, space.h_indices
+    if max(np.abs(c[np.ix_(h, m, h)]).max(initial=0.0),
+           np.abs(c[np.ix_(h, h, m)]).max(initial=0.0)) > STRUCTURAL_TOL:
         raise ValueError(
             "transport does not preserve m; h does not act invariantly")
-    src = _solve(space, Y, metric.c_coefficients(Y))
-    # coerce_m's contiguous copy makes each row round as it does alone
-    y_dst = space.coerce_m(y_moved[:, m])
-    dst = _solve(space, y_dst, metric.c_coefficients(y_dst))
-    xi_moved = (ad_exp @ space.embed_h(src.xi)[..., None])[..., 0]
-    xi_moved[:, m] = 0.0
-    diff = space.embed_h(dst.xi) - xi_moved
+    # with [h, m] in m and [h, h] in h, exp(t ad(H)) is block diagonal
+    exp_m, exp_h = (matrix_exponential(np.einsum(
+        "ni,ijk->nkj", H, c[np.ix_(h, part, part)]), T) for part in (m, h))
+    # the concatenation is C-contiguous, so each row rounds as it does alone
+    rows = np.concatenate([Y, (exp_m @ Y[..., None])[..., 0]])
+    sol = _solve(space, rows, metric.c_coefficients(rows))
+    xi_src, xi_dst = np.split(sol.xi, 2)
+    diff = xi_dst - (exp_h @ xi_src[..., None])[..., 0]
     deviation = np.sqrt((diff[:, None, :] @ diff[..., None])[:, 0, 0])
-    return deviation, src.unique, dst.unique
+    return deviation, *np.split(sol.unique, 2)
 
 
 class ScanReport(_Record):

@@ -63,7 +63,7 @@ class ReductiveSpace:
 
         # Per-space tensors of the batched criterion: block i's Gram placed
         # in its m-slice, the block of each m-coordinate, the structure
-        # constants c[i, a, k] of [e_i, U_a]_m for all i, and
+        # constants c[i, (a, k)] of [e_i, U_a]_m for all i, and
         # c[h + m, m, m] as one matrix, which gives A and b in one product.
         m, h = self.m_indices, self.h_indices
         self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
@@ -77,7 +77,7 @@ class ReductiveSpace:
         self._block_sums = np.equal.outer(
             self._block_of, np.arange(self.n_blocks)).astype(float)
         c = alg.structure
-        self.c_gmm = c[:, m][:, :, m]
+        self.c_gmm = c[:, m][:, :, m].reshape(self.dim, self.dim_m ** 2)
         self.c_system = c[np.ix_(np.concatenate([h, m]), m, m)].transpose(
             2, 0, 1).reshape(self.dim_m, self.dim * self.dim_m)
 

@@ -215,14 +215,12 @@ class LieAlgebra:
         return np.einsum("i,ijk->kj", x, self.structure)
 
     def check_jacobi(self, tol: float = JACOBI_TOL) -> JacobiReport:
-        """Evaluate the Jacobi identity over all basis triples."""
+        """Evaluate the Jacobi identity over all basis triples, from one
+        contraction t[i, j, k] = [[e_i, e_j], e_k] in its cyclic orders."""
         if tol <= 0:
             raise ValueError("tol must be positive")
-        c = self.structure
-        term = np.einsum("ijm,mkl->ijkl", c, c)
-        total = (term
-                 + np.einsum("jkm,mil->ijkl", c, c)
-                 + np.einsum("kim,mjl->ijkl", c, c))
+        t = np.einsum("ijm,mkl->ijkl", self.structure, self.structure)
+        total = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
         return JacobiReport(max_violation=float(np.abs(total).max(initial=0.0)),
                             tol=tol)
 
@@ -280,10 +278,10 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     a = np.asarray(t, dtype=float)[..., None, None] * m
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     # squarings per matrix: the fewest that bring the 1-norm below theta_13
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
     squarings = np.maximum(np.frexp(norm / _THETA13)[1], 0)
     a = np.ldexp(a, -squarings[..., None, None])
     b = _PADE13

@@ -178,8 +178,8 @@ def _positive_triple(c) -> Vector:
     c = np.asarray(c, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] != 3:
         raise ValueError("expected three block weights")
-    if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
-        raise ValueError("block weights must be positive")
+    if not np.isfinite(c).all() or (c <= 0.0).any():
+        raise ValueError("block weights must be finite and positive")
     return c
 
 

@@ -476,3 +476,13 @@ def test_config_key_gives_the_output_of_its_flag(capsys, tmp_path, command,
     assert by_flag[0] in (0, 1) and by_flag[1] and not by_flag[2]
     assert run(capsys, command, *base, "--config", str(cfg)) == by_flag
     assert run(capsys, command, *base) != by_flag  # the key takes effect
+
+
+@pytest.mark.parametrize("fmt", ["xml", 3, ["json"]])
+def test_config_format_outside_the_choices_names_the_flag(capsys, tmp_path,
+                                                          fmt):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": fmt}))
+    code, out, err = run(capsys, "graph", "--config", str(cfg), "--y", _Y)
+    assert (code, out) == (2, "")
+    assert err == f"error: --format must be 'json' or 'csv', not {fmt!r}\n"

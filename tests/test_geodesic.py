@@ -213,6 +213,44 @@ def test_equivariance_reports_degenerate_points(round_metric):
     assert dev[0] < 1e-12
 
 
+def test_equivariance_rejects_a_split_h_does_not_preserve():
+    # [e1, e2] = e1: ad(e1) sends e2 in m to e1 in h
+    alg = LieAlgebra(["e1", "e2"], {("e1", "e2"): {"e1": 1.0}})
+    space = ReductiveSpace(alg, h=["e1"], blocks=[["e2"]])
+    with pytest.raises(ValueError, match="h does not act invariantly"):
+        check_equivariance_batch(riemannian_metric(space, [1.0]), [[1.0]],
+                                 [[1.0]], [0.5])
+
+
+def test_equivariance_with_trivial_isotropy_is_exact():
+    space = ReductiveSpace(so3_algebra(), h=[],
+                           blocks=[["e1"], ["e2"], ["e3"]])
+    metric = riemannian_metric(space, [1.0, 2.0, 4.0])
+    y = np.random.default_rng(181).standard_normal((5, 3))
+    dev, unique_src, unique_dst = check_equivariance_batch(
+        metric, y, np.zeros((5, 0)), np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(dev, np.zeros(5))
+    assert unique_src.all() and unique_dst.all()
+
+
+def test_isotropy_exponential_is_block_diagonal(s7):
+    # on the draws of acceptance criterion 7, exp(t ad(H)) of the whole
+    # algebra keeps m and h apart exactly, and its blocks are the
+    # exponentials of ad(H) restricted to m and to h
+    c, m, h = s7.algebra.structure, s7.space.m_indices, s7.space.h_indices
+    rng = np.random.default_rng(239)
+    for _ in range(100):
+        rng.standard_normal(7)
+        hv, t = rng.standard_normal(4), float(rng.uniform(-1.0, 1.0))
+        full = matrix_exponential(s7.algebra.ad_operator(
+            s7.space.embed_h(hv)), t)
+        assert not full[np.ix_(m, h)].any() and not full[np.ix_(h, m)].any()
+        for part in (m, h):
+            block = matrix_exponential(
+                np.einsum("i,ijk->kj", hv, c[np.ix_(h, part, part)]), t)
+            assert np.abs(full[np.ix_(part, part)] - block).max() <= 1e-14
+
+
 # -- scans -------------------------------------------------------------------------
 
 def test_scan_catalog_residuals_tiny(finsler):

@@ -158,6 +158,22 @@ def test_jacobi_detects_perturbed_constant(s7):
     assert report.max_violation > 0.05
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_jacobi_equals_the_three_term_contraction_bit_for_bit(seed):
+    # dense random antisymmetric constants on 11 generators
+    values = np.random.default_rng(seed).standard_normal((11, 11, 11))
+    alg = LieAlgebra([f"e{i}" for i in range(11)],
+                     {(i, j): dict(enumerate(values[i, j]))
+                      for i in range(11) for j in range(i + 1, 11)})
+    c = alg.structure
+    total = (np.einsum("ijm,mkl->ijkl", c, c)
+             + np.einsum("jkm,mil->ijkl", c, c)
+             + np.einsum("kim,mjl->ijkl", c, c))
+    report = alg.check_jacobi(tol=1e-12)
+    assert report.max_violation == float(np.abs(total).max())
+    assert not report.passed
+
+
 def test_jacobi_rejects_bad_tol(so3):
     with pytest.raises(ValueError):
         so3.check_jacobi(tol=0.0)

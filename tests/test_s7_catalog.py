@@ -149,6 +149,13 @@ def test_k_rejects_nonpositive():
         k_coefficients([1.0, 0.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_weights_are_named_as_such(bad):
+    with pytest.raises(ValueError,
+                       match="^block weights must be finite and positive$"):
+        closed_form_xi(np.ones(7), [bad, 1.0, 1.0])
+
+
 # -- closed form --------------------------------------------------------------------
 
 def test_closed_form_first_substitution(s7):
