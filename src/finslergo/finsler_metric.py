@@ -285,7 +285,7 @@ class FinslerMetric:
 
     def _norms(self, ym: Vector) -> Vector:
         """The k norms (sqrt(g_j(y, y)))_j of m-coordinates ``[..., dim_m]``."""
-        q = self.space.block_quadratics(ym)
+        q = self.space._block_quadratics(ym)
         return np.sqrt((q[..., None, :] @ self.family.a.T)[..., 0, :])
 
     def _b(self, ym: Vector) -> Vector:

@@ -8,12 +8,12 @@ homogeneous geodesic exactly when
 Expanding xi over the isotropy basis turns this into the linear system
 A(y) xi = b(y).  :func:`assemble`, :func:`solve_batch` and
 :func:`criterion_residuals` work on a batch of base vectors ``Y[N, dim_m]``
-with per-row block weights ``C[N, s]``; the one-vector entry points are
-batches of one.  The solver returns the minimal-norm least-squares solution
-together with rank and uniqueness diagnostics, by QR where full rank is
-certified and by SVD elsewhere.  Sampling utilities verify the
-geodesic-orbit property and the equivariance of the solved map over random
-draws.
+with per-row block weights ``C[N, s]``; the one-vector entry points solve
+a batch of one by the same core and build their result from its row.  The
+solver returns the minimal-norm least-squares solution together with rank
+and uniqueness diagnostics, by QR where full rank is certified and by SVD
+elsewhere.  Sampling utilities verify the geodesic-orbit property and the
+equivariance of the solved map over random draws.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .finsler_metric import FinslerMetric
-from .homogeneous_space import STRUCTURAL_TOL
 from .lie_algebra import Check, Vector, _Record, matrix_exponential
 
 RANK_RCOND = 1e-10
@@ -46,7 +45,9 @@ def float_repr(x) -> str:
 
 
 def _rows(space, Y, C):
-    """Validated m-coordinates ``[N, dim_m]`` and block weights ``[N, s]``."""
+    """Validated m-coordinates ``[N, dim_m]`` and block weights ``[N, s]``
+    on a split that h acts on invariantly."""
+    space._require_invariant()
     Y = space.coerce_m(Y)
     C = np.asarray(C, dtype=float)
     if Y.ndim != 2 or C.shape != (len(Y), space.n_blocks):
@@ -142,7 +143,7 @@ def _min_norm_solve(a_mat, b_vec):
     certified = (np.abs(r).max(axis=(1, 2)) * np.abs(r_inv).max(axis=(1, 2))
                  < 1e-2 / RANK_RCOND / (h * h))
     xi, rank = (r_inv @ raw[:, h, :h, None])[..., 0], np.full(n, h)
-    if np.count_nonzero(certified) < n:
+    if not certified.all():
         doubt = ~certified
         svd_xi, rank[doubt] = _svd_solve(a_mat[doubt], b_vec[doubt])
         qr_xi = xi[doubt]
@@ -211,17 +212,21 @@ def solve_batch(space, Y, C) -> GraphBatch:
     oracle.  A system, solution or residual that overflows raises
     ``LinAlgError``, with no numpy warning.
     """
-    return _solve(space, *_rows(space, Y, C))
+    Y, C = _rows(space, Y, C)
+    xi, rank, residual, a_mat = _solve(space, Y, C)
+    return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, a_mat=a_mat)
 
 
-def _solve(space, Y, C) -> GraphBatch:
+def _solve(space, Y, C):
+    """The numerical core: ``(xi, rank, residual, a_mat)`` of checked rows."""
     with np.errstate(over="ignore", invalid="ignore"):
         a_mat, b_vec = _system(space, Y, C)
         xi, rank = _min_norm_solve(a_mat, b_vec)
         residual = np.abs((a_mat @ xi[..., None])[..., 0] - b_vec).max(
             axis=1, initial=0.0)
-    _require_finite(residual)
-    return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, a_mat=a_mat)
+    if not np.isfinite(residual).all():
+        _require_finite(residual)
+    return xi, rank, residual, a_mat
 
 
 # -- one base vector -----------------------------------------------------------
@@ -229,10 +234,11 @@ def _solve(space, Y, C) -> GraphBatch:
 
 @dataclass(frozen=True)
 class GeodesicGraphResult:
-    """Solved isotropy correction for one base vector.
+    """Solved isotropy correction for one base vector, with its system A.
 
-    ``sigma_min``, the smallest singular value of the system (infinite when
-    the isotropy is trivial), is computed on first access; not in the JSON.
+    ``sigma_min``, the last singular value of A padded as in
+    :attr:`GraphBatch.sigma` (0 when dim_m < dim_h, infinite when the
+    isotropy is trivial), is computed on first access; not in the JSON.
     """
 
     y: Vector
@@ -242,31 +248,25 @@ class GeodesicGraphResult:
     unique: bool
     y_m: Vector
     xi_h: Vector
-    batch: GraphBatch = field(repr=False, compare=False)
+    a_mat: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def sigma_min(self) -> float:
-        return float(self.batch.sigma[0, -1]) if self.xi_h.size else np.inf
+        if not self.xi_h.size:
+            return np.inf
+        sigma = np.linalg.svd(self.a_mat, compute_uv=False)
+        return float(sigma[-1]) if sigma.size == self.xi_h.size else 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "y": [float(v) for v in self.y_m],
-            "xi": [float(v) for v in self.xi_h],
-            "residual": float(self.residual_norm),
-            "rank": int(self.rank),
-            "unique": bool(self.unique),
-        }
-
-
-def _one(metric: FinslerMetric, y):
-    """One base vector as a batch of one, with its block weights."""
-    ym = metric.space._coerce_one(y)[None]
-    return ym, metric._c(ym)
+        return {"y": self.y_m.tolist(), "xi": self.xi_h.tolist(),
+                "residual": float(self.residual_norm), "rank": int(self.rank),
+                "unique": bool(self.unique)}
 
 
 def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
     """Left side of the geodesic-vector criterion; zero iff y + xi qualifies."""
-    ym, c = _one(metric, y)
+    ym = metric.space._coerce_one(y)[None]
+    c = metric._c(ym)
     xi = metric.space._coerce_one(xi, "h")[None]
     return _criterion(metric.space, ym, c, xi)[0]
 
@@ -274,24 +274,21 @@ def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
 def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     """Minimal-norm least-squares solution of the geodesic-graph system.
 
-    A batch of one in :func:`solve_batch`; the rank is the SVD count at the
+    Row 0 of a batch of one, solved by the core of :func:`solve_batch`
+    without building a :class:`GraphBatch`; the rank is the SVD count at the
     relative threshold 1e-10, and ``unique`` means it equals the isotropy
     dimension.  A residual above tolerance signals that no isotropy
     correction makes y a geodesic vector; it is reported, not raised.
     """
     space = metric.space
-    batch = _solve(space, *_one(metric, y))
-    rank = int(batch.rank[0])
+    ym = space._coerce_one(y)[None]
+    xi, rank, residual, a_mat = _solve(space, ym, metric._c(ym))
+    full = np.zeros((2, space.dim))  # y and xi in full coordinates
+    full[0, space.m_indices], full[1, space.h_indices] = ym[0], xi[0]
+    rank = int(rank[0])
     return GeodesicGraphResult(
-        y=space.embed_m(batch.y[0]),
-        xi=space.embed_h(batch.xi[0]),
-        residual_norm=float(batch.residual[0]),
-        rank=rank,
-        unique=rank == space.dim_h,
-        y_m=batch.y[0],
-        xi_h=batch.xi[0],
-        batch=batch,
-    )
+        y=full[0], xi=full[1], residual_norm=float(residual[0]), rank=rank,
+        unique=rank == space.dim_h, y_m=ym[0], xi_h=xi[0], a_mat=a_mat[0])
 
 
 def is_geodesic_vector(metric: FinslerMetric, w) -> Check:
@@ -325,28 +322,25 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T):
     unique_transported)``, arrays over the rows: the norm of
     xi(transported y) - transported xi(y), and whether each side has a
     unique solution.  A split whose brackets [h, m] or [h, h] leave m or h
-    by more than ``STRUCTURAL_TOL`` raises ``ValueError``.
+    by more than ``STRUCTURAL_TOL`` (found when it is built) raises.
     """
     space = metric.space
     Y, H, T = space.coerce_m(Y), space.coerce_h(H), np.asarray(T, dtype=float)
     if Y.ndim != 2 or H.shape != (len(Y), space.dim_h) or T.shape != (len(Y),):
         raise ValueError(f"expected Y[N, {space.dim_m}], H[N, {space.dim_h}] "
                          f"and T[N], got {Y.shape}, {H.shape} and {T.shape}")
+    space._require_invariant()
     c, m, h = space.alg.structure, space.m_indices, space.h_indices
-    if max(np.abs(c[np.ix_(h, m, h)]).max(initial=0.0),
-           np.abs(c[np.ix_(h, h, m)]).max(initial=0.0)) > STRUCTURAL_TOL:
-        raise ValueError(
-            "transport does not preserve m; h does not act invariantly")
     # with [h, m] in m and [h, h] in h, exp(t ad(H)) is block diagonal
     exp_m, exp_h = (matrix_exponential(np.einsum(
         "ni,ijk->nkj", H, c[np.ix_(h, part, part)]), T) for part in (m, h))
     # the concatenation is C-contiguous, so each row rounds as it does alone
     rows = np.concatenate([Y, (exp_m @ Y[..., None])[..., 0]])
-    sol = _solve(space, rows, metric.c_coefficients(rows))
-    xi_src, xi_dst = np.split(sol.xi, 2)
+    xi, rank = _solve(space, rows, metric.c_coefficients(rows))[:2]
+    xi_src, xi_dst = np.split(xi, 2)
     diff = xi_dst - (exp_h @ xi_src[..., None])[..., 0]
     deviation = np.sqrt((diff[:, None, :] @ diff[..., None])[:, 0, 0])
-    return deviation, *np.split(sol.unique, 2)
+    return deviation, *np.split(rank == space.dim_h, 2)
 
 
 class ScanReport(_Record):
@@ -437,4 +431,7 @@ def orbit_curve(realization: MatrixRealization, w, t_values) -> np.ndarray:
     """Points exp(t * rho(w)) applied to the base point, one row per t."""
     gen = realization.generator(w)
     t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    if t_values.ndim != 1:
+        raise ValueError(f"t_values must be a scalar or 1-D, got shape "
+                         f"{t_values.shape}")
     return matrix_exponential(gen, t_values) @ realization.base_point

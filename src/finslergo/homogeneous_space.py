@@ -61,11 +61,16 @@ class ReductiveSpace:
                 raise ValueError("Gram matrices must be finite")
         self.alpha = alpha
 
+        # The criterion and the transport assume [h, h] in h and [h, m] in
+        # m; validate() reports these worst values and solves refuse them.
+        m, h, c = self.m_indices, self.h_indices, alg.structure
+        self._split_worst = {
+            "subalgebra": np.abs(c[np.ix_(h, h, m)]).max(initial=0.0),
+            "reductivity": np.abs(c[np.ix_(h, m, h)]).max(initial=0.0)}
         # Per-space tensors of the batched criterion: block i's Gram placed
         # in its m-slice, the block of each m-coordinate, the structure
         # constants c[i, (a, k)] of [e_i, U_a]_m for all i, and
         # c[h + m, m, m] as one matrix, which gives A and b in one product.
-        m, h = self.m_indices, self.h_indices
         self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
         off = 0
         for grams, a in zip(self.block_grams, alpha):
@@ -76,7 +81,6 @@ class ReductiveSpace:
                                    [len(blk) for blk in self.blocks])
         self._block_sums = np.equal.outer(
             self._block_of, np.arange(self.n_blocks)).astype(float)
-        c = alg.structure
         self.c_gmm = c[:, m][:, :, m].reshape(self.dim, self.dim_m ** 2)
         self.c_system = c[np.ix_(np.concatenate([h, m]), m, m)].transpose(
             2, 0, 1).reshape(self.dim_m, self.dim * self.dim_m)
@@ -107,48 +111,31 @@ class ReductiveSpace:
 
     # -- coordinates ---------------------------------------------------------
 
-    def _coords(self, v, part: str) -> np.ndarray:
-        """v as floats whose last axis holds coordinates of part "m" or "h"."""
-        n = len(self._parts[part][0])
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1:] != (n,):
-            raise ValueError(f"expected {n} {part}-coordinates")
-        return v
-
-    def _embed(self, v, part: str) -> Vector:
-        v = self._coords(v, part)
-        full = np.zeros(v.shape[:-1] + (self.dim,))
-        full[..., self._parts[part][0]] = v
-        return full
-
-    def embed_m(self, vm) -> Vector:
-        """Full coordinates of m-coordinates ``[..., dim_m]``."""
-        return self._embed(vm, "m")
-
-    def embed_h(self, vh) -> Vector:
-        """Full coordinates of h-coordinates ``[..., dim_h]``."""
-        return self._embed(vh, "h")
+    def _require_invariant(self):
+        if max(self._split_worst.values()) > STRUCTURAL_TOL:
+            raise ValueError("[h, m] leaves m or [h, h] leaves h; h does not "
+                             "act invariantly")
 
     def _coerce(self, v, part: str, allow_zero: bool) -> Vector:
         own, other, other_name = self._parts[part]
-        v = np.asarray(v, dtype=float)
+        if np.iscomplexobj(v):
+            raise ValueError("coordinates must be real")
+        v = np.array(v, dtype=float)
         n = v.shape[-1] if v.ndim in (1, 2) else None
         if n == self.dim and self.dim != len(own):
             if v[..., other].any():
                 raise ValueError(f"vector has {other_name} components; "
                                  f"project it onto {part} first")
-            coords = v[..., own]
-        elif n == len(own):
-            coords = v.copy()
-        else:
+            v = v[..., own]
+        elif n != len(own):
             raise ValueError(
                 f"expected {len(own)} {part}-coordinates or {self.dim} full "
                 f"coordinates, got shape {v.shape}")
-        if not np.isfinite(coords).all():
+        if not np.isfinite(v).all():
             raise ValueError("coordinates must be finite")
-        if not allow_zero and not coords.any(axis=-1).all():
+        if not allow_zero and not v.any(axis=-1).all():
             raise ValueError("the zero vector is not allowed here")
-        return coords
+        return v
 
     def coerce_m(self, v, allow_zero: bool = False) -> Vector:
         """m-coordinates of a vector, or of each row of a batch ``[N, n]``,
@@ -193,9 +180,9 @@ class ReductiveSpace:
         quad = (vm[..., None, :] @ self._gram) @ vm[..., :, None]
         return np.sqrt(quad[..., 0, 0])
 
-    def block_quadratics(self, vm) -> Vector:
-        """Per-block values alpha_i(v, v) of m-coordinates ``[..., dim_m]``."""
-        vm = self._coords(vm, "m")
+    def _block_quadratics(self, vm) -> Vector:
+        """Per-block values alpha_i(v, v) of m-coordinates ``[..., dim_m]``
+        that the library built, unchecked."""
         return ((vm * self._apply_gram(vm))[..., None, :]
                 @ self._block_sums)[..., 0, :]
 
@@ -215,8 +202,7 @@ class ReductiveSpace:
         moved = c_hmm @ gram + gram @ c_hmm.transpose(0, 2, 1)
         in_block = np.equal.outer(self._block_of, self._block_of)
         worst = {
-            "subalgebra": np.abs(c[np.ix_(h, h, m)]).max(initial=0.0),
-            "reductivity": np.abs(c[np.ix_(h, m, h)]).max(initial=0.0),
+            **self._split_worst,
             "alpha_symmetry": np.abs(gram - gram.T).max(initial=0.0),
             "invariance": np.abs(moved[:, in_block]).max(initial=0.0),
         }
@@ -277,6 +263,7 @@ class MetricFamily:
                 f"got {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
             raise ValueError("all family coefficients must be positive")
+        space._require_invariant()
         self.space = space
         self.a = a
         self.a.flags.writeable = False

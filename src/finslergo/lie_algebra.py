@@ -192,7 +192,9 @@ class LieAlgebra:
         return e
 
     def vector(self, coords) -> Vector:
-        """Coerce coordinates to a validated member vector."""
+        """Coerce real coordinates to a validated member vector."""
+        if np.iscomplexobj(coords):
+            raise ValueError("coordinates must be real")
         v = np.asarray(coords, dtype=float)
         if v.shape != (self.dim,):
             raise ValueError(

@@ -3,6 +3,11 @@ import pytest
 
 from finslergo import build_s7_space, riemannian_metric
 
+# combiner specs for the quick-start family: two with unit weights, two
+# whose weights move the scale of L
+SCALE_SPECS = ["sq_sum:1,3", "sum_sq:1,1", "sq_sum:962.19,767.38",
+               "sum_sq:0.3,7"]
+
 
 @pytest.fixture(scope="session")
 def s7():
@@ -33,6 +38,14 @@ def family_gram(family, j):
 def family_product(family, j, u, v):
     """g_j(u, v) for m-coordinates u and v."""
     return float(u @ family_gram(family, j) @ v)
+
+
+def embed(space, v, indices):
+    """Full coordinates of m- or h-coordinates v[..., n], placed at the
+    space's ``m_indices`` or ``h_indices``."""
+    full = np.zeros(np.shape(v)[:-1] + (space.dim,))
+    full[..., indices] = v
+    return full
 
 
 def unit_m_samples(space, n, seed):

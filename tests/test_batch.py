@@ -22,7 +22,7 @@ from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        riemannian_metric, solve_batch, solve_geodesic_graph,
                        verify_closed_form)
 from finslergo.cli import main
-from conftest import unit_m_samples
+from conftest import embed, unit_m_samples
 
 
 def _s7_metrics(s7):
@@ -220,10 +220,36 @@ def test_non_finite_coordinates_are_rejected(s7, round_metric, bad):
         solve_batch(s7.space, rows, np.ones((4, 3)))
 
 
+def test_complex_coordinates_are_rejected_without_a_warning(s7,
+                                                           round_metric):
+    y = np.ones(7) + 5j
+    calls = {
+        "solve_geodesic_graph": lambda: solve_geodesic_graph(round_metric, y),
+        "a list": lambda: solve_geodesic_graph(round_metric,
+                                               [1.0, 2j, 0, 0, 0, 0, 0]),
+        "zero imaginary part": lambda: s7.space.coerce_m(y.real + 0j),
+        "geodesic_residual xi": lambda: geodesic_residual(
+            round_metric, y.real, np.zeros(4) + 1j),
+        "a batch": lambda: solve_batch(s7.space, np.tile(y, (3, 1)),
+                                       np.ones((3, 3))),
+        "c_coefficients": lambda: round_metric.c_coefficients(
+            np.tile(y, (3, 1))),
+        "coerce_h": lambda: s7.space.coerce_h(np.ones((2, 4)) * 1j),
+        "vector": lambda: s7.algebra.vector(np.ones(11) + 1j),
+        "bracket": lambda: s7.algebra.bracket(np.ones(11),
+                                              [1j] + [0.0] * 10),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="coordinates must be real"):
+                call()
+
+
 def test_coerce_h_rows_equal_per_row_calls(s7):
     space = s7.space
     h_rows = np.random.default_rng(17).standard_normal((6, 4))
-    full = space.embed_h(h_rows)
+    full = embed(space, h_rows, space.h_indices)
     for rows in (h_rows, full):
         got = space.coerce_h(rows)
         each = np.stack([space.coerce_h(row) for row in rows])
@@ -240,7 +266,8 @@ def test_criterion_residuals_take_h_rows_or_full_rows(s7):
     for metric in _s7_metrics(s7).values():
         c = metric.c_coefficients(y)
         by_h = criterion_residuals(s7.space, y, c, xi)
-        by_full = criterion_residuals(s7.space, y, c, s7.space.embed_h(xi))
+        by_full = criterion_residuals(s7.space, y, c,
+                                      embed(s7.space, xi, s7.space.h_indices))
         assert by_h.tobytes() == by_full.tobytes()
     with pytest.raises(ValueError, match=r"Xi\[8, 4\]"):
         criterion_residuals(s7.space, y, c, xi[0])  # would broadcast

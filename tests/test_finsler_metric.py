@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose
 from finslergo import (L_CONDITIONS, FinslerMetric, LFunction, MetricFamily,
                        degree_one_sum, l_function_from_spec, riemannian_metric,
                        validate_l)
-from conftest import alpha_gram, family_product, weighted_gram
+from conftest import (SCALE_SPECS, alpha_gram, family_product,
+                      weighted_gram)
 
 
 def fd_partials(lf, u, step=1e-6):
@@ -219,9 +220,6 @@ def test_f_positively_homogeneous(scale, seed):
                     rtol=1e-12)
 
 
-
-SCALE_SPECS = ["sq_sum:1,3", "sum_sq:1,1", "sq_sum:962.19,767.38",
-               "sum_sq:0.3,7"]
 QUICK_Y = np.array([0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
 
 

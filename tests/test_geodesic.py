@@ -4,10 +4,11 @@ from numpy.testing import assert_allclose
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, assemble, check_equivariance_batch,
-                       closed_form_xi, geodesic_residual, go_property_scan,
-                       is_geodesic_vector, k_coefficients, matrix_exponential,
-                       orbit_curve, riemannian_metric, solve_geodesic_graph)
-from conftest import unit_m_samples
+                       closed_form_xi, criterion_residuals, geodesic_residual,
+                       go_property_scan, is_geodesic_vector, k_coefficients,
+                       matrix_exponential, orbit_curve, riemannian_metric,
+                       solve_batch, solve_geodesic_graph)
+from conftest import embed, unit_m_samples
 
 
 @pytest.fixture
@@ -222,6 +223,37 @@ def test_equivariance_rejects_a_split_h_does_not_preserve():
                                  [[1.0]], [0.5])
 
 
+def _split_calls(space):
+    """Every entry point that takes a space and assumes h acts on m."""
+    ones = np.ones((1, space.dim_m))
+    c = np.ones((1, space.n_blocks))
+    return {
+        "MetricFamily": lambda: MetricFamily(space, c),
+        "riemannian_metric": lambda: riemannian_metric(space, c[0]),
+        "solve_batch": lambda: solve_batch(space, ones, c),
+        "assemble": lambda: assemble(space, ones, c),
+        "criterion_residuals": lambda: criterion_residuals(
+            space, ones, c, np.zeros((1, space.dim_h))),
+    }
+
+
+def test_a_split_that_fails_its_structural_checks_is_not_solved(s7):
+    # [e1, e2] = e1 leaves m (reductivity); [X1, X2] leaves h (subalgebra)
+    alg = LieAlgebra(["e1", "e2"], {("e1", "e2"): {"e1": 1.0}})
+    rest = ["X3", "X4", "Z1", "Z2", "Z3", "H1", "H2", "H3", "W"]
+    spaces = {"reductivity": ReductiveSpace(alg, h=["e1"], blocks=[["e2"]]),
+              "subalgebra": ReductiveSpace(s7.algebra, h=["X1", "X2"],
+                                           blocks=[rest])}
+    for failed, space in spaces.items():
+        assert failed in space.validate().failed()  # still reported
+        for name, call in _split_calls(space).items():
+            with pytest.raises(ValueError,
+                               match="h does not act invariantly"):
+                call()
+    for call in _split_calls(s7.space).values():
+        call()
+
+
 def test_equivariance_with_trivial_isotropy_is_exact():
     space = ReductiveSpace(so3_algebra(), h=[],
                            blocks=[["e1"], ["e2"], ["e3"]])
@@ -243,7 +275,7 @@ def test_isotropy_exponential_is_block_diagonal(s7):
         rng.standard_normal(7)
         hv, t = rng.standard_normal(4), float(rng.uniform(-1.0, 1.0))
         full = matrix_exponential(s7.algebra.ad_operator(
-            s7.space.embed_h(hv)), t)
+            embed(s7.space, hv, h)), t)
         assert not full[np.ix_(m, h)].any() and not full[np.ix_(h, m)].any()
         for part in (m, h):
             block = matrix_exponential(
@@ -392,6 +424,15 @@ def test_orbit_equals_the_per_t_stack_bit_for_bit(s7, finsler):
     expect = np.stack([matrix_exponential(gen, t) @ s7.realization.base_point
                        for t in t_values])
     assert np.array_equal(orbit_curve(s7.realization, w, t_values), expect)
+
+
+def test_orbit_rejects_t_values_of_more_than_one_axis(s7):
+    w = s7.algebra.basis_vector("X1")
+    assert orbit_curve(s7.realization, w, 0.5).shape == (1, 8)
+    for t_values in ([[0.1, 0.2]], np.zeros((3, 1))):
+        with pytest.raises(ValueError, match="t_values must be a scalar or "
+                                             "1-D, got shape"):
+            orbit_curve(s7.realization, w, t_values)
 
 
 def test_orbit_rejects_wrong_length(s7):

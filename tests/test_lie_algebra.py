@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from finslergo import LieAlgebra, matrix_exponential
+from conftest import embed
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,7 @@ def test_expm_zero_is_identity():
 def _s7_ad_stack(s7, n, seed):
     """ad(h) of n random isotropy vectors and n times in [-1, 1]."""
     rng = np.random.default_rng(seed)
-    h = s7.space.embed_h(rng.standard_normal((n, 4)))
+    h = embed(s7.space, rng.standard_normal((n, 4)), s7.space.h_indices)
     return (np.einsum("ni,ijk->nkj", h, s7.algebra.structure),
             rng.uniform(-1.0, 1.0, n))
 

@@ -1,6 +1,7 @@
 """The QR-first minimal-norm solve: rows certified full rank are solved by
 QR, every other row by the stacked SVD that is kept here as the reference."""
 
+import json
 import warnings
 
 import numpy as np
@@ -8,9 +9,11 @@ import pytest
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, assemble, closed_form_xi,
-                       criterion_residuals, go_property_scan,
-                       riemannian_metric, solve_batch, solve_geodesic_graph)
+                       criterion_residuals, geodesic, go_property_scan,
+                       l_function_from_spec, riemannian_metric, solve_batch,
+                       solve_geodesic_graph)
 from finslergo.geodesic import RANK_RCOND
+from conftest import SCALE_SPECS, embed
 
 
 def _svd_reference(a_mat, b_vec):
@@ -268,6 +271,93 @@ def test_sigma_is_computed_on_first_access(s7, monkeypatch):
     assert res.sigma_min == ref[1].min()
     assert len(svds) == 3  # one more for each of sigma and sigma_min
     assert "a_mat" not in repr(batch) and "batch=" not in repr(res)
+
+
+# -- one base vector: row 0 of a batch of one ---------------------------------
+
+def _float_list_json(y_m, xi_h, residual, rank, unique):
+    """The JSON text of a result as element-wise float() lists render it."""
+    return json.dumps({"y": [float(v) for v in y_m],
+                       "xi": [float(v) for v in xi_h],
+                       "residual": float(residual), "rank": int(rank),
+                       "unique": bool(unique)}, indent=2)
+
+
+def _assert_rows_are_one_vector_results(metric, y):
+    space = metric.space
+    batch = solve_batch(space, y, metric.c_coefficients(y))
+    for i, row in enumerate(y):
+        res = solve_geodesic_graph(metric, row)
+        assert res.y_m.tobytes() == batch.y[i].tobytes()
+        assert res.xi_h.tobytes() == batch.xi[i].tobytes()
+        assert res.y.tobytes() == embed(space, batch.y[i],
+                                        space.m_indices).tobytes()
+        assert res.xi.tobytes() == embed(space, batch.xi[i],
+                                         space.h_indices).tobytes()
+        assert np.float64(res.residual_norm).tobytes() == \
+            batch.residual[i].tobytes()
+        assert (res.rank, res.unique) == (batch.rank[i], batch.unique[i])
+        assert res.a_mat.tobytes() == batch.a_mat[i].tobytes()
+        if space.dim_h:
+            assert np.float64(res.sigma_min).tobytes() == \
+                batch.sigma[i, -1].tobytes()
+        else:
+            assert res.sigma_min == np.inf
+        assert json.dumps(res.to_json_dict(), indent=2) == _float_list_json(
+            batch.y[i], batch.xi[i], batch.residual[i], batch.rank[i],
+            batch.unique[i])
+
+
+@pytest.mark.parametrize("spec", SCALE_SPECS)
+def test_one_vector_result_is_its_row_of_a_batch_bit_for_bit(s7, spec):
+    # the graph-workload kinds: generic, near the x = 0 stratum, on it, and
+    # the extreme scales 1e+-150
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    metric = FinslerMetric(family, l_function_from_spec(spec))
+    rng = np.random.default_rng(421)
+    for kind in ("generic", "near", "on"):
+        _assert_rows_are_one_vector_results(metric, _draw(rng, 40, kind))
+    unit = _draw(rng, 6, "generic")
+    unit[3:, :4] *= 1e-4
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    for scale in (1e150, 1e-150):
+        _assert_rows_are_one_vector_results(metric, scale * unit)
+
+
+def test_one_vector_result_is_its_row_below_and_without_isotropy():
+    sphere = _sphere_quotient()  # dim_m = 4 < dim_h = 6: sigma_min is 0
+    y = np.random.default_rng(423).standard_normal((10, 4))
+    _assert_rows_are_one_vector_results(sphere, y)
+    assert solve_geodesic_graph(sphere, y[0]).sigma_min == 0.0
+    alg = LieAlgebra(["e1", "e2", "e3"],
+                     {("e1", "e2"): {"e3": 1.0}, ("e2", "e3"): {"e1": 1.0},
+                      ("e1", "e3"): {"e2": -1.0}})
+    group = riemannian_metric(
+        ReductiveSpace(alg, h=[], blocks=[["e1"], ["e2"], ["e3"]]),
+        [1.0, 2.0, 4.0])
+    _assert_rows_are_one_vector_results(
+        group, np.random.default_rng(425).standard_normal((10, 3)))
+
+
+def test_a_one_vector_solve_coerces_once_and_builds_no_batch(s7, monkeypatch):
+    metric = _metrics(s7)["sq_sum"]
+    coerced, built = [], []
+    coerce_m, graph_batch = type(s7.space).coerce_m, geodesic.GraphBatch
+
+    def counted_coerce(self, *args):
+        coerced.append(args)
+        return coerce_m(self, *args)
+
+    def counted_batch(**fields):
+        built.append(fields)
+        return graph_batch(**fields)
+
+    monkeypatch.setattr(type(s7.space), "coerce_m", counted_coerce)
+    monkeypatch.setattr(geodesic, "GraphBatch", counted_batch)
+    res = solve_geodesic_graph(metric, [0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
+    assert res.unique and len(coerced) == 1 and built == []
+    solve_batch(s7.space, np.ones((2, 7)), np.ones((2, 3)))  # the patches bite
+    assert len(coerced) == 2 and len(built) == 1
 
 
 # -- input that cannot be solved ----------------------------------------------
