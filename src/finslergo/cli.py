@@ -2,8 +2,8 @@
 
 Exit codes form a stable contract: 0 success, 1 a mathematical check
 failed, 2 bad input, 3 I/O failure.  A JSON config file may supply any
-flag value; explicit flags win on conflict.  Identical seed and config
-produce byte-identical output.
+flag its command takes; explicit flags win on conflict.  Identical seed
+and config produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ EXIT_MATH_FAIL = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
-# Every value a command reads, by config-file key, which is also its dest.
-_DEFAULTS = {"space": "s7", "l": "sum_sq:1", "family": None, "y": None,
-             "samples": 1000, "seed": 0, "tol": None, "out": None,
-             "format": None, "t_max": 2.0 * np.pi, "steps": 200}
-
 
 def _parse_matrix(value) -> np.ndarray:
     """Family coefficients from 'a11,a12;a21,a22' or a nested list."""
@@ -44,9 +39,7 @@ def _parse_matrix(value) -> np.ndarray:
     except (TypeError, ValueError):
         raise ValueError("--family must be rows of numbers of one length, "
                          "as in '1,1,1;2,1,4'") from None
-    if a.ndim == 1:
-        a = a[None, :]
-    return a
+    return a[None, :] if a.ndim == 1 else a
 
 
 def _parse_coords(value) -> np.ndarray:
@@ -62,43 +55,83 @@ def _parse_coords(value) -> np.ndarray:
     return v
 
 
+def _number(key: str, kind, ok, rule: str):
+    """Check of a numeric value: its type, since config-file values arrive
+    unconverted (no bool, str or fraction), then its range."""
+    def check(value):
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or kind is int and value % 1):  # a fraction, inf or nan
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"{key} must be {noun}, not {value!r}")
+        if not ok(kind(value)):
+            raise ValueError(f"--{key.replace('_', '-')} must be {rule}")
+        return kind(value)
+    return check
+
+
+def _format(value):
+    if value not in ("json", "csv"):
+        raise ValueError(f"--format must be 'json' or 'csv', not {value!r}")
+    return value
+
+
+# Every value a command can read, by dest, which is also its config-file
+# key: its default, its argparse options, and the check that converts a
+# value (but None where None is the default) or names what is wrong with it.
+_FLAGS = {
+    "space": ("s7", {"help": "path to a space JSON file, or 's7'"}, None),
+    "l": ("sum_sq:1", {"metavar": "L_SPEC",
+                       "help": "combiner spec 'kind:w1,w2,...' "
+                               "(sum_sq, sq_sum, or sum)"}, None),
+    "family": (None, {"help": "metric coefficients 'a11,a12,...;a21,...'"},
+               _parse_matrix),
+    "samples": (1000, {"type": int},
+                _number("samples", int, lambda v: v >= 1, "at least 1")),
+    "seed": (0, {"type": int},
+             _number("seed", int, lambda v: v >= 0, "non-negative")),
+    "tol": (None, {"type": float},
+            _number("tol", float, lambda v: v > 0, "positive")),
+    "out": (None, {"help": "output path (default stdout)"}, None),
+    "format": (None, {"choices": ["json", "csv"]}, _format),
+    "y": (None, {"help": "base vector coordinates 'y1,y2,...'"},
+          _parse_coords),
+    "t_max": (2.0 * np.pi, {"type": float},
+              _number("t_max", float, np.isfinite, "finite")),
+    "steps": (200, {"type": int},
+              _number("steps", int, lambda v: v >= 2, "at least 2")),
+}
+
+
+def _read_json(flag: str, path: str, build=lambda doc: doc):
+    """build(document) of a JSON file; a bad document names flag and path."""
+    with open(path) as fh:
+        try:
+            return build(json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{flag} {path!r}: {exc}") from None
+
+
 def _resolve_config(args) -> argparse.Namespace:
-    """Config-file values over the defaults, explicit flags over both."""
-    cfg = dict(_DEFAULTS)
+    """The checked values the command reads: config-file values over the
+    defaults, explicit flags over both; a key it does not read is refused."""
+    dests = _COMMANDS[args.command][2].split()
+    given = {}
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        doc = _read_json("--config", args.config)
         if not isinstance(doc, dict):
             raise ValueError("--config must hold a JSON object of flag values")
-        cfg.update((key, doc[key]) for key in _DEFAULTS if key in doc)
-    cfg.update((key, getattr(args, key)) for key in _DEFAULTS
-               if getattr(args, key, None) is not None)
-    # config-file values arrive unconverted: no bool, str or fraction
-    integers = ("samples", "seed", "steps")
-    for key in (*integers, "t_max", "tol"):
-        value, whole = cfg[key], key in integers
-        if value is None and key == "tol":
-            continue
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or whole and value % 1):  # a fraction, inf or nan
-            kind = "an integer" if whole else "a number"
-            raise ValueError(f"{key} must be {kind}, not {value!r}")
-        cfg[key] = int(value) if whole else float(value)
-    if cfg["samples"] < 1:
-        raise ValueError("--samples must be at least 1")
-    if cfg["seed"] < 0:
-        raise ValueError("--seed must be non-negative")
-    if cfg["tol"] is not None and not cfg["tol"] > 0:
-        raise ValueError("--tol must be positive")
-    if not np.isfinite(cfg["t_max"]):
-        raise ValueError("--t-max must be finite")
-    if cfg["format"] not in (None, "json", "csv"):
-        raise ValueError(f"--format must be 'json' or 'csv', not "
-                         f"{cfg['format']!r}")
-    if cfg["family"] is not None:
-        cfg["family"] = _parse_matrix(cfg["family"])
-    if cfg["y"] is not None:
-        cfg["y"] = _parse_coords(cfg["y"])
+        for key in doc:
+            if key not in dests:
+                raise ValueError(f"--config key {key!r} is not a flag of "
+                                 f"{args.command}")
+        given.update(doc)
+    given.update((key, getattr(args, key)) for key in dests
+                 if getattr(args, key) is not None)
+    cfg = {key: given.get(key, _FLAGS[key][0]) for key in dests}
+    for key, value in cfg.items():
+        default, _, check = _FLAGS[key]
+        if check and (value is not None or default is not None):
+            cfg[key] = check(value)
     return argparse.Namespace(**cfg)
 
 
@@ -116,9 +149,8 @@ def _load_setup(cfg: argparse.Namespace):
         s7 = build_s7_space()
         space, realization, file_family = s7.space, s7.realization, None
     else:
-        with open(cfg.space) as fh:
-            doc = json.load(fh)
-        space, file_family = load_space_document(doc)
+        space, file_family = _read_json("--space", cfg.space,
+                                        load_space_document)
         realization = None
     lf = _combiner(cfg.l)
     if cfg.family is not None:
@@ -127,15 +159,12 @@ def _load_setup(cfg: argparse.Namespace):
         family = file_family
     else:
         family = MetricFamily(space, np.ones((lf.arity, space.n_blocks)))
-    metric = FinslerMetric(family, lf)
-    return space, realization, metric
+    return space, realization, FinslerMetric(family, lf)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -148,23 +177,16 @@ def cmd_validate_l(cfg: argparse.Namespace) -> int:
     lf = _combiner(cfg.l)
     report = validate_l(lf, sample_count=cfg.samples, seed=cfg.seed)
     if cfg.format == "json":
-        doc = {
-            "kind": lf.kind,
-            "conditions": [
-                {"key": c.name, "description": L_CONDITIONS[c.name],
-                 "passed": c.passed, "worst": c.worst,
-                 "witness": list(c.witness)}
-                for c in report.checks
-            ],
-            "passed": report.passed,
-        }
+        conditions = [{"key": c.name, "description": L_CONDITIONS[c.name],
+                       "passed": c.passed, "worst": c.worst,
+                       "witness": list(c.witness)} for c in report.checks]
+        doc = {"kind": lf.kind, "conditions": conditions,
+               "passed": report.passed}
         _emit(json.dumps(doc, indent=2), cfg.out)
     else:
-        lines = []
-        for c in report.checks:
-            status = "PASS" if c.passed else "FAIL"
-            lines.append(f"({c.name}) {L_CONDITIONS[c.name]}: {status} "
-                         f"(worst {c.worst:.6e})")
+        lines = [f"({c.name}) {L_CONDITIONS[c.name]}: "
+                 f"{'PASS' if c.passed else 'FAIL'} (worst {c.worst:.6e})"
+                 for c in report.checks]
         lines.append("all conditions passed" if report.passed
                      else "some conditions FAILED")
         _emit("\n".join(lines), cfg.out)
@@ -186,9 +208,8 @@ def cmd_graph(cfg: argparse.Namespace) -> int:
         _emit(",".join(header) + "\n" + ",".join(row), cfg.out)
     else:
         _emit(json.dumps(result.to_json_dict(), indent=2), cfg.out)
-    if cfg.tol is not None and result.residual_norm > cfg.tol:
-        return EXIT_MATH_FAIL
-    return EXIT_OK
+    failed = cfg.tol is not None and result.residual_norm > cfg.tol
+    return EXIT_MATH_FAIL if failed else EXIT_OK
 
 
 def cmd_scan(cfg: argparse.Namespace) -> int:
@@ -196,9 +217,8 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
     report = go_property_scan(metric, cfg.samples, cfg.seed)
     tol = cfg.tol if cfg.tol is not None else 1e-9
     if cfg.format == "json":
-        doc = report.to_json_dict()
-        doc["tol"] = tol
-        doc["passed"] = report.max_residual < tol
+        doc = {**report.to_json_dict(), "tol": tol,
+               "passed": report.max_residual < tol}
         _emit(json.dumps(doc, indent=2), cfg.out)
     else:
         _emit("\n".join(report.to_csv_lines()) + "\n", cfg.out)
@@ -237,8 +257,6 @@ def cmd_verify_s7(cfg: argparse.Namespace) -> int:
 def cmd_orbit(cfg: argparse.Namespace) -> int:
     if cfg.y is None:
         raise ValueError("orbit requires --y coordinates")
-    if cfg.steps < 2:
-        raise ValueError("steps must be at least 2")
     _, realization, metric = _load_setup(cfg)
     if realization is None:
         raise ValueError("the selected space has no matrix realization")
@@ -265,51 +283,33 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
 # -- entry point ------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--space", help="path to a space JSON file, or 's7'")
-    common.add_argument("--l", metavar="L_SPEC",
-                        help="combiner spec 'kind:w1,w2,...' "
-                             "(sum_sq, sq_sum, or sum)")
-    common.add_argument("--family",
-                        help="metric coefficients 'a11,a12,...;a21,...'")
-    common.add_argument("--samples", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--tol", type=float)
-    common.add_argument("--out", help="output path (default stdout)")
-    common.add_argument("--format", choices=["json", "csv"])
-    common.add_argument("--config", help="JSON config file; flags win")
+# Each command: its function, its help and the dests (see _FLAGS) it reads.
+_COMMANDS = {
+    "validate-l": (cmd_validate_l, "check the five Minkowski-norm conditions",
+                   "l samples seed out format"),
+    "graph": (cmd_graph, "solve the geodesic graph at one vector",
+              "space l family tol out format y"),
+    "scan": (cmd_scan, "sample unit vectors and report solver residuals",
+             "space l family samples seed tol out format"),
+    "verify-s7": (cmd_verify_s7, "run the built-in catalog verification suite",
+                  "samples seed tol out"),
+    "orbit": (cmd_orbit, "emit points of the homogeneous geodesic",
+              "space l family tol out format y t_max steps"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finslergo",
         description="Geodesic graphs for composite Finsler metrics on "
                     "reductive homogeneous spaces")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate-l", parents=[common],
-                   help="check the five Minkowski-norm conditions")
-
-    p_graph = sub.add_parser("graph", parents=[common],
-                             help="solve the geodesic graph at one vector")
-    p_graph.add_argument("--y", help="base vector coordinates 'y1,y2,...'")
-
-    sub.add_parser("scan", parents=[common],
-                   help="sample unit vectors and report solver residuals")
-
-    sub.add_parser("verify-s7", parents=[common],
-                   help="run the built-in catalog verification suite")
-
-    p_orbit = sub.add_parser("orbit", parents=[common],
-                             help="emit points of the homogeneous geodesic")
-    p_orbit.add_argument("--y", help="base vector coordinates")
-    p_orbit.add_argument("--t-max", type=float)
-    p_orbit.add_argument("--steps", type=int)
-
+    for name, (_, help_text, dests) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in dests.split():
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key][1])
+        p.add_argument("--config", help="JSON config file; flags win")
     return parser
-
-
-_COMMANDS = {"validate-l": cmd_validate_l, "graph": cmd_graph,
-             "scan": cmd_scan, "verify-s7": cmd_verify_s7, "orbit": cmd_orbit}
 
 
 def main(argv=None) -> int:
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
     try:
         cfg = _resolve_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

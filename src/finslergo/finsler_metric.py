@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homogeneous_space import MetricFamily
-from .lie_algebra import Check, Report, Vector
+from .lie_algebra import Check, Report, Vector, _real
 
 GRAD_CHECK_TOL = 1e-6
 HOMOGENEITY_TOL = 1e-10
@@ -117,7 +117,7 @@ class LFunction:
     # -- evaluation ----------------------------------------------------------
 
     def _check_args(self, u) -> Vector:
-        u = np.asarray(u, dtype=float)
+        u = _real(u, "arguments")
         if u.ndim not in (1, 2) or u.shape[-1] != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {u.shape}")
         return u
@@ -161,7 +161,7 @@ def _per_row(fn):
 
 
 def _positive_weights(weights) -> Vector:
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
+    w = np.atleast_1d(_real(weights, "weights"))
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
@@ -369,8 +369,7 @@ class FinslerMetric:
 
 def riemannian_metric(space, block_weights) -> FinslerMetric:
     """Single-metric family with L = u^2: F is the norm of sum_i w_i alpha_i."""
-    family = MetricFamily(space, np.atleast_2d(np.asarray(block_weights,
-                                                          dtype=float)))
+    family = MetricFamily(space, np.atleast_2d(block_weights))
     return FinslerMetric(family, LFunction.sum_of_squares([1.0]))
 
 

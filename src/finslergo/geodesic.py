@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .finsler_metric import FinslerMetric
-from .lie_algebra import Check, Vector, _Record, matrix_exponential
+from .lie_algebra import Check, Vector, _real, _Record, matrix_exponential
 
 RANK_RCOND = 1e-10
 GEODESIC_VECTOR_TOL = 1e-9
@@ -49,7 +49,7 @@ def _rows(space, Y, C):
     on a split that h acts on invariantly."""
     space._require_invariant()
     Y = space.coerce_m(Y)
-    C = np.asarray(C, dtype=float)
+    C = _real(C, "block weights C")
     if Y.ndim != 2 or C.shape != (len(Y), space.n_blocks):
         raise ValueError(
             f"expected Y[N, {space.dim_m}] and C[N, {space.n_blocks}], got "
@@ -325,7 +325,7 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T):
     by more than ``STRUCTURAL_TOL`` (found when it is built) raises.
     """
     space = metric.space
-    Y, H, T = space.coerce_m(Y), space.coerce_h(H), np.asarray(T, dtype=float)
+    Y, H, T = space.coerce_m(Y), space.coerce_h(H), _real(T, "T")
     if Y.ndim != 2 or H.shape != (len(Y), space.dim_h) or T.shape != (len(Y),):
         raise ValueError(f"expected Y[N, {space.dim_m}], H[N, {space.dim_h}] "
                          f"and T[N], got {Y.shape}, {H.shape} and {T.shape}")
@@ -405,8 +405,8 @@ class MatrixRealization(_Record):
     base_point: np.ndarray
 
     def __init__(self, matrices, base_point):
-        m = np.asarray(matrices, dtype=float)
-        p = np.asarray(base_point, dtype=float)
+        m = _real(matrices, "matrices")
+        p = _real(base_point, "base point")
         if m.ndim != 3 or m.shape[1] != m.shape[2]:
             raise ValueError("matrices must be a (dim, N, N) stack")
         if p.shape != (m.shape[1],):
@@ -420,7 +420,7 @@ class MatrixRealization(_Record):
         return self.matrices.shape[0]
 
     def generator(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
+        w = _real(w, "coordinates")
         if w.shape != (self.dim,):
             raise ValueError(
                 f"expected {self.dim} coordinates, got shape {w.shape}")
@@ -430,7 +430,7 @@ class MatrixRealization(_Record):
 def orbit_curve(realization: MatrixRealization, w, t_values) -> np.ndarray:
     """Points exp(t * rho(w)) applied to the base point, one row per t."""
     gen = realization.generator(w)
-    t_values = np.atleast_1d(np.asarray(t_values, dtype=float))
+    t_values = np.atleast_1d(_real(t_values, "t_values"))
     if t_values.ndim != 1:
         raise ValueError(f"t_values must be a scalar or 1-D, got shape "
                          f"{t_values.shape}")

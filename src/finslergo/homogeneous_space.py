@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie_algebra import Check, LieAlgebra, Report, Vector
+from .lie_algebra import Check, LieAlgebra, Report, Vector, _real
 
 STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
@@ -49,7 +49,7 @@ class ReductiveSpace:
 
         if alpha is None:
             alpha = [np.eye(len(blk)) for blk in self.blocks]
-        alpha = [np.asarray(a, dtype=float) for a in alpha]
+        alpha = [_real(a, "Gram matrices") for a in alpha]
         if len(alpha) != len(self.blocks):
             raise ValueError("need exactly one Gram matrix per block")
         for a, blk in zip(alpha, self.blocks):
@@ -118,9 +118,7 @@ class ReductiveSpace:
 
     def _coerce(self, v, part: str, allow_zero: bool) -> Vector:
         own, other, other_name = self._parts[part]
-        if np.iscomplexobj(v):
-            raise ValueError("coordinates must be real")
-        v = np.array(v, dtype=float)
+        v = _real(v, "coordinates", copy=True)
         n = v.shape[-1] if v.ndim in (1, 2) else None
         if n == self.dim and self.dim != len(own):
             if v[..., other].any():
@@ -254,7 +252,7 @@ class MetricFamily:
     """Positively related scalar products g_j = sum_i a[j, i] * alpha_i."""
 
     def __init__(self, space: ReductiveSpace, a):
-        a = np.asarray(a, dtype=float)
+        a = _real(a, "family coefficients")
         if a.ndim != 2:
             raise ValueError("coefficient matrix must be 2-D (k x s)")
         if a.shape[0] < 1 or a.shape[1] != space.n_blocks:

@@ -32,6 +32,14 @@ Vector = np.ndarray
 JACOBI_TOL = 1e-12
 
 
+def _real(x, what: str, copy: bool = False) -> np.ndarray:
+    """x as a float array, copied if asked; complex input raises, also with
+    a zero imaginary part, instead of being cut to its real part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{what} must be real")
+    return np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
+
+
 class _Record:
     """Immutable record over the annotated fields of a subclass."""
 
@@ -193,9 +201,7 @@ class LieAlgebra:
 
     def vector(self, coords) -> Vector:
         """Coerce real coordinates to a validated member vector."""
-        if np.iscomplexobj(coords):
-            raise ValueError("coordinates must be real")
-        v = np.asarray(coords, dtype=float)
+        v = _real(coords, "coordinates")
         if v.shape != (self.dim,):
             raise ValueError(
                 f"expected a vector of length {self.dim}, got shape {v.shape}")
@@ -276,10 +282,10 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     two, so a matrix of a stack gives the same result, bit for bit, as when
     it is exponentiated alone.
     """
-    m = np.asarray(m, dtype=float)
+    m = _real(m, "matrix entries")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    a = np.asarray(t, dtype=float)[..., None, None] * m
+    a = _real(t, "t")[..., None, None] * m
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     # squarings per matrix: the fewest that bring the 1-norm below theta_13

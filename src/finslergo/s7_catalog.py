@@ -25,7 +25,7 @@ from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
                        criterion_residuals, solve_batch,
                        solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
-from .lie_algebra import LieAlgebra, Vector, _Record
+from .lie_algebra import LieAlgebra, Vector, _real, _Record
 
 M_LABELS = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3")
 H_LABELS = ("H1", "H2", "H3", "W")
@@ -175,7 +175,7 @@ def k_coefficients(c):
 
 
 def _positive_triple(c) -> Vector:
-    c = np.asarray(c, dtype=float)
+    c = _real(c, "block weights")
     if c.ndim not in (1, 2) or c.shape[-1] != 3:
         raise ValueError("expected three block weights")
     if not np.isfinite(c).all() or (c <= 0.0).any():

@@ -246,6 +246,47 @@ def test_complex_coordinates_are_rejected_without_a_warning(s7,
                 call()
 
 
+def test_complex_arrays_are_rejected_by_name_without_a_warning(s7,
+                                                              round_metric):
+    space, rho = s7.space, s7.realization
+    rows, ones = np.ones((2, 7)), np.ones((2, 3))
+    blocks = [[space.alg.basis_labels[i] for i in b] for b in space.blocks]
+    calls = {
+        "block weights C": [
+            lambda: solve_batch(space, rows, ones + 0j),
+            lambda: assemble(space, rows, ones * 1j),
+            lambda: criterion_residuals(space, rows, ones + 0j,
+                                        np.zeros((2, 4)))],
+        "family coefficients": [
+            lambda: MetricFamily(space, [[1.0, 1.0, 1j]]),
+            lambda: riemannian_metric(space, [1.0, 1.0, 1.0 + 0j])],
+        "T": [lambda: check_equivariance_batch(round_metric, rows,
+                                               np.ones((2, 4)),
+                                               np.ones(2) + 0j)],
+        "t_values": [lambda: finslergo.orbit_curve(rho, np.ones(11), [1j])],
+        "matrix entries": [lambda: finslergo.matrix_exponential(
+            np.eye(2) + 0j)],
+        "t": [lambda: finslergo.matrix_exponential(np.eye(2), 1j)],
+        "matrices": [lambda: finslergo.MatrixRealization(
+            rho.matrices + 0j, rho.base_point)],
+        "base point": [lambda: finslergo.MatrixRealization(
+            rho.matrices, rho.base_point * 1j)],
+        "weights": [lambda: LFunction.squared_sum([1.0 + 0j, 3.0]),
+                    lambda: LFunction.sum_of_squares([1j])],
+        "block weights": [lambda: closed_form_xi(np.ones(7), [1.0, 1.0, 1j])],
+        "arguments": [lambda: LFunction.sum_of_squares([1.0]).value([1j])],
+        "Gram matrices": [lambda: ReductiveSpace(
+            space.alg, space.h_labels(), blocks,
+            [a + 0j for a in space.alpha])],
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for what, group in calls.items():
+            for call in group:
+                with pytest.raises(ValueError, match=f"^{what} must be real$"):
+                    call()
+
+
 def test_coerce_h_rows_equal_per_row_calls(s7):
     space = s7.space
     h_rows = np.random.default_rng(17).standard_normal((6, 4))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -399,7 +400,8 @@ def test_bad_config_value_names_the_key(capsys, monkeypatch, tmp_path, key,
     monkeypatch.setattr(cli, "build_s7_space", None)  # never reached
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({key: value}))
-    code, out, err = run(capsys, "verify-s7", "--config", str(cfg))
+    command = "orbit" if key in ("steps", "t_max") else "verify-s7"
+    code, out, err = run(capsys, command, "--config", str(cfg))
     assert (code, out) == (2, "")
     assert err == f"error: {key} must be {kind}, not {value!r}\n"
 
@@ -457,7 +459,9 @@ def test_bad_combiner_spec_names_the_flag(capsys, tmp_path, spec, detail):
 _Y = "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8"
 
 
-@pytest.mark.parametrize("command, key, value, base", [
+# every (command, flag) pair the parser accepts, but --out, --space and
+# --config, which have tests of their own
+_FLAG_CASES = [
     ("graph", "y", _Y, []),
     ("graph", "l", "sq_sum:1,3", ["--y", _Y]),
     ("graph", "family", "1,1,1;2,1,4", ["--y", _Y, "--l", "sq_sum:1,3"]),
@@ -466,7 +470,28 @@ _Y = "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8"
     ("scan", "samples", 30, []),
     ("scan", "seed", 5, ["--samples", "30"]),
     ("orbit", "t_max", 1.5, ["--y", _Y, "--steps", "5"]),
-    ("orbit", "steps", 7, ["--y", _Y])])
+    ("orbit", "steps", 7, ["--y", _Y]),
+    ("validate-l", "l", "sq_sum:1,2", ["--samples", "50"]),
+    ("validate-l", "samples", 50, []),
+    ("validate-l", "seed", 3, ["--samples", "50"]),
+    ("validate-l", "format", "json", ["--samples", "50"]),
+    ("scan", "l", "sq_sum:1,3", ["--samples", "30"]),
+    ("scan", "family", "1,1,1;2,1,4", ["--samples", "30", "--l", "sq_sum:1,3"]),
+    ("scan", "tol", 1e-20, ["--samples", "30"]),
+    ("scan", "format", "json", ["--samples", "30"]),
+    ("verify-s7", "samples", 30, []),
+    ("verify-s7", "seed", 5, ["--samples", "30"]),
+    ("verify-s7", "tol", 1e-15, ["--samples", "30"]),
+    ("orbit", "l", "sq_sum:1,3",
+     ["--y", _Y, "--steps", "5", "--family", "1,1,1;2,1,4"]),
+    ("orbit", "family", "1,1,1;2,1,4",
+     ["--y", _Y, "--steps", "5", "--l", "sq_sum:1,3"]),
+    ("orbit", "tol", 1e-20, ["--y", _Y, "--steps", "5"]),
+    ("orbit", "format", "json", ["--y", _Y, "--steps", "5"]),
+    ("orbit", "y", _Y, ["--steps", "5"])]
+
+
+@pytest.mark.parametrize("command, key, value, base", _FLAG_CASES)
 def test_config_key_gives_the_output_of_its_flag(capsys, tmp_path, command,
                                                  key, value, base):
     cfg = tmp_path / "cfg.json"
@@ -486,3 +511,52 @@ def test_config_format_outside_the_choices_names_the_flag(capsys, tmp_path,
     code, out, err = run(capsys, "graph", "--config", str(cfg), "--y", _Y)
     assert (code, out) == (2, "")
     assert err == f"error: --format must be 'json' or 'csv', not {fmt!r}\n"
+
+
+def test_help_lists_exactly_the_flags_a_command_reads(capsys):
+    # the flags of _FLAG_CASES, --out and --config everywhere, and --space
+    # where a space is built
+    for command in ("validate-l", "graph", "scan", "verify-s7", "orbit"):
+        expect = {"--out", "--config"} | {
+            "--" + key.replace("_", "-") for cmd, key, *_ in _FLAG_CASES
+            if cmd == command}
+        if command in ("graph", "scan", "orbit"):
+            expect.add("--space")
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) - {"--help"} == expect
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate-l", "--space"), ("validate-l", "--family"),
+    ("validate-l", "--tol"), ("graph", "--samples"), ("graph", "--seed"),
+    ("verify-s7", "--space"), ("verify-s7", "--l"), ("verify-s7", "--family"),
+    ("verify-s7", "--format"), ("orbit", "--samples"), ("orbit", "--seed"),
+    ("scan", "--colour")])
+def test_a_flag_or_key_the_command_does_not_read_exits_2(capsys, tmp_path,
+                                                         command, flag):
+    code, out, err = run(capsys, command, flag, "nope:1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} nope:1" in err
+    key = flag[2:]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: 1}))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: --config key {key!r} is not a flag of {command}\n"
+
+
+@pytest.mark.parametrize("flag, text, detail", [
+    ("--space", "{}", "'algebra'"),
+    ("--space", "[1, 2]", "list indices must be integers or slices, not str"),
+    ("--space", "x", "Expecting value: line 1 column 1 (char 0)"),
+    ("--config", "x", "Expecting value: line 1 column 1 (char 0)")])
+def test_a_bad_json_file_names_its_flag_and_path(capsys, tmp_path, flag, text,
+                                                 detail):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "graph", "--y", _Y, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag} {str(path)!r}: {detail}\n"
+    code, _, err = run(capsys, "graph", "--y", _Y, flag, str(tmp_path))
+    assert code == 3 and err.startswith("i/o error: ")
