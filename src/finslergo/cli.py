@@ -69,6 +69,15 @@ def _number(key: str, kind, ok, rule: str):
     return check
 
 
+def _path(key: str):
+    """Check of a path: a config-file number would open a file descriptor."""
+    def check(value):
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a path string, not {value!r}")
+        return value
+    return check
+
+
 def _format(value):
     if value not in ("json", "csv"):
         raise ValueError(f"--format must be 'json' or 'csv', not {value!r}")
@@ -79,7 +88,8 @@ def _format(value):
 # key: its default, its argparse options, and the check that converts a
 # value (but None where None is the default) or names what is wrong with it.
 _FLAGS = {
-    "space": ("s7", {"help": "path to a space JSON file, or 's7'"}, None),
+    "space": ("s7", {"help": "path to a space JSON file, or 's7'"},
+              _path("space")),
     "l": ("sum_sq:1", {"metavar": "L_SPEC",
                        "help": "combiner spec 'kind:w1,w2,...' "
                                "(sum_sq, sq_sum, or sum)"}, None),
@@ -91,7 +101,7 @@ _FLAGS = {
              _number("seed", int, lambda v: v >= 0, "non-negative")),
     "tol": (None, {"type": float},
             _number("tol", float, lambda v: v > 0, "positive")),
-    "out": (None, {"help": "output path (default stdout)"}, None),
+    "out": (None, {"help": "output path (default stdout)"}, _path("out")),
     "format": (None, {"choices": ["json", "csv"]}, _format),
     "y": (None, {"help": "base vector coordinates 'y1,y2,...'"},
           _parse_coords),

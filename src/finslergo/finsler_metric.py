@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .homogeneous_space import MetricFamily
-from .lie_algebra import Check, Report, Vector, _real
+from .lie_algebra import Check, Report, Vector, _all, _real
 
 GRAD_CHECK_TOL = 1e-6
 HOMOGENEITY_TOL = 1e-10
@@ -29,6 +29,10 @@ PARTIAL_TOL = 1e-12
 HESSIAN_TOL = 1e-8
 HESSIAN_STEP = 1e-4
 _TINY = np.finfo(float).tiny
+_NORM_OVERFLOW = ("the criterion system is not finite: the squared norm of "
+                  "y overflows or underflows")
+_GRADIENT_OVERFLOW = ("the criterion system is not finite: the combiner's "
+                      "gradient overflows")
 
 L_CONDITIONS = {
     "i": "positive away from zero",
@@ -80,8 +84,7 @@ class LFunction:
         Hessian diag(2 w) is positive definite.
         """
         w = _positive_weights(weights)
-        return cls._of_form("sum_sq", w,
-                            lambda u: _rowdot(u * u, w),
+        return cls._of_form("sum_sq", w, lambda u: _rowdot(u * u, w),
                             lambda u: 2.0 * w * u, ())
 
     @classmethod
@@ -92,9 +95,8 @@ class LFunction:
         Hessian 2 w w^T is positive semi-definite.
         """
         w = _positive_weights(weights)
-        return cls._of_form("sq_sum", w,
-                            lambda u: _rowdot(u, w) ** 2,
-                            lambda u: 2.0 * _rowdot(u, w)[..., None] * w, ())
+        return cls._of_form("sq_sum", w, lambda u: _rowdot(u, w) ** 2,
+                            lambda u: 2.0 * (u[..., None, :] @ w) * w, ())
 
     @classmethod
     def custom(cls, value, grad, arity: int) -> "LFunction":
@@ -145,8 +147,7 @@ def degree_one_sum(weights) -> LFunction:
     while the gradient w is positive and the Hessian is zero.
     """
     w = _positive_weights(weights)
-    return LFunction._of_form("sum", w,
-                              lambda u: _rowdot(u, w),
+    return LFunction._of_form("sum", w, lambda u: _rowdot(u, w),
                               lambda u: np.broadcast_to(w, u.shape).copy(),
                               ("ii",))
 
@@ -261,9 +262,8 @@ class FinslerMetric:
 
     def __init__(self, family: MetricFamily, lf: LFunction):
         if lf.arity != family.k:
-            raise ValueError(
-                f"combiner arity {lf.arity} does not match family size "
-                f"{family.k}")
+            raise ValueError(f"combiner arity {lf.arity} does not match "
+                             f"family size {family.k}")
         self.family = family
         self.lf = lf
         failed = lf.form_failures
@@ -283,28 +283,34 @@ class FinslerMetric:
 
     # -- internal helpers ------------------------------------------------------
 
+    def _row_norms(self, y, gy) -> np.ndarray:
+        """The k norms ``[..., 1, k]`` of rows ``y[..., 1, dim_m]``, G y = gy."""
+        return np.sqrt(((y * gy) @ self.space._block_sums) @ self.family.a.T)
+
     def _norms(self, ym: Vector) -> Vector:
-        """The k norms (sqrt(g_j(y, y)))_j of m-coordinates ``[..., dim_m]``."""
-        q = self.space._block_quadratics(ym)
-        return np.sqrt((q[..., None, :] @ self.family.a.T)[..., 0, :])
+        """The k norms of m-coordinates ``[..., dim_m]``."""
+        y = ym[..., None, :]
+        return self._row_norms(y, self.space._apply_gram(y))[..., 0, :]
 
-    def _b(self, ym: Vector) -> Vector:
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = self._norms(ym)
-            if not ((u > 0.0) & (u < np.inf)).all():
-                raise np.linalg.LinAlgError(
-                    "the criterion system is not finite: the squared norm "
-                    "of y overflows or underflows")
-            b = self.lf.grad(u) / (2.0 * u)
-        if not np.isfinite(b).all():
-            raise np.linalg.LinAlgError(
-                "the criterion system is not finite: the combiner's "
-                "gradient overflows")
-        return b
+    def _weights(self, y, gy) -> tuple:
+        """B ``[..., k]`` and C ``[..., 1, s]`` of checked rows, under the
+        caller's ``np.errstate``; norms outside (0, inf) raise before the
+        gradient is called, and B is returned unchecked."""
+        u = self._row_norms(y, gy)[..., 0, :]
+        if not (_all(np.isfinite(u)) and _all(u)):  # a root is never < 0
+            raise np.linalg.LinAlgError(_NORM_OVERFLOW)
+        lf = self.lf  # a built-in form needs no argument or shape check
+        b = (lf.grad if lf.form_failures is None else lf._grad)(u) / (2.0 * u)
+        return b, b[..., None, :] @ self.family.a
 
-    def _c(self, ym: Vector) -> Vector:
-        """C of m-coordinates that :meth:`ReductiveSpace.coerce_m` returned."""
-        return (self._b(ym)[..., None, :] @ self.family.a)[..., 0, :]
+    def _coefficients(self, ym: Vector) -> tuple:
+        """Checked (B, C) of m-coordinates that :meth:`coerce_m` returned."""
+        y = ym[..., None, :]
+        with np.errstate(all="ignore"):
+            b, c = self._weights(y, self.space._apply_gram(y))
+        if not _all(np.isfinite(b)):
+            raise np.linalg.LinAlgError(_GRADIENT_OVERFLOW)
+        return b, c[..., 0, :]
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -336,21 +342,22 @@ class FinslerMetric:
 
         A batch ``y[N, n]`` gives ``[N, k]``, one row per base vector.
         """
-        return self._b(self.space.coerce_m(y))
+        return self._coefficients(self.space.coerce_m(y))[0]
 
     def c_coefficients(self, y) -> Vector:
         """Per-block weights C_i = sum_j B_j a[j, i]; positive for y != 0.
 
         A batch ``y[N, n]`` gives ``[N, s]``, one row per base vector.
         """
-        return self._c(self.space.coerce_m(y))
+        return self._coefficients(self.space.coerce_m(y))[1]
 
     def fundamental_contraction(self, y, v) -> float:
         """g_y(y, v) = sum_i C_i alpha_i(y, v), with C (of degree 0) taken at
         y / 2^e as in :meth:`f_value`; so g_y(2^s y, v) = 2^s g_y(y, v)."""
         ym = self.space._coerce_one(y)
         vm = self.space._coerce_one(v, allow_zero=True)
-        c = self._c(np.ldexp(ym, -int(np.frexp(np.abs(ym).max())[1])))
+        c = self._coefficients(
+            np.ldexp(ym, -int(np.frexp(np.abs(ym).max())[1])))[1]
         return float(self.space.weighted_apply(ym, c) @ vm)
 
     def fd_fundamental(self, y, v, step: float = 1e-4) -> float:
@@ -359,9 +366,8 @@ class FinslerMetric:
             raise ValueError("step must be positive")
         ym = self.space._coerce_one(y)
         vm = self.space._coerce_one(v, allow_zero=True)
-        fp = self.f_value(ym + step * vm) ** 2
-        fm = self.f_value(ym - step * vm) ** 2
-        return (fp - fm) / (4.0 * step)
+        return (self.f_value(ym + step * vm) ** 2
+                - self.f_value(ym - step * vm) ** 2) / (4.0 * step)
 
     def __repr__(self) -> str:
         return f"FinslerMetric(k={self.k}, L={self.lf.kind!r})"

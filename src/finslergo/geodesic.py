@@ -9,11 +9,12 @@ Expanding xi over the isotropy basis turns this into the linear system
 A(y) xi = b(y).  :func:`assemble`, :func:`solve_batch` and
 :func:`criterion_residuals` work on a batch of base vectors ``Y[N, dim_m]``
 with per-row block weights ``C[N, s]``; the one-vector entry points solve
-a batch of one by the same core and build their result from its row.  The
-solver returns the minimal-norm least-squares solution together with rank
-and uniqueness diagnostics, by QR where full rank is certified and by SVD
-elsewhere.  Sampling utilities verify the geodesic-orbit property and the
-equivariance of the solved map over random draws.
+a batch of one by the same core and build their result from its row.
+Every solve assembles its system in one pass, ``_pass``.  The solver
+returns the minimal-norm least-squares solution together with rank and
+uniqueness diagnostics, by QR where full rank is certified and by SVD
+elsewhere.  Sampling utilities verify the geodesic-orbit property and
+the equivariance of the solved map over random draws.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .finsler_metric import FinslerMetric
-from .lie_algebra import Check, Vector, _real, _Record, matrix_exponential
+from .finsler_metric import _GRADIENT_OVERFLOW, _NORM_OVERFLOW, FinslerMetric
+from .lie_algebra import (Check, Vector, _all, _real, _Record,
+                          matrix_exponential)
 
 RANK_RCOND = 1e-10
 GEODESIC_VECTOR_TOL = 1e-9
@@ -51,10 +53,9 @@ def _rows(space, Y, C):
     Y = space.coerce_m(Y)
     C = _real(C, "block weights C")
     if Y.ndim != 2 or C.shape != (len(Y), space.n_blocks):
-        raise ValueError(
-            f"expected Y[N, {space.dim_m}] and C[N, {space.n_blocks}], got "
-            f"{Y.shape} and {C.shape}")
-    if not np.isfinite(C).all():
+        raise ValueError(f"expected Y[N, {space.dim_m}] and C[N, "
+                         f"{space.n_blocks}], got {Y.shape} and {C.shape}")
+    if not _all(np.isfinite(C)):
         raise ValueError("block weights C must be finite")
     return Y, C
 
@@ -69,29 +70,30 @@ def _criterion(space, Y, C, Xi) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         brackets = (w[:, None, :] @ space.c_gmm).reshape(*Y.shape, -1)
         out = (brackets @ space.weighted_apply(Y, C)[..., None])[..., 0]
-    _require_finite(out)
+    if not _all(np.isfinite(out)):
+        raise np.linalg.LinAlgError(_NORM_OVERFLOW)
     return out
 
 
-def _system(space, Y, C):
-    """A[N, dim_m, dim_h] and b[N, dim_m]: the criterion is A xi - b.
-
-    p[n, k, a] = sum_i C_i alpha_i(y, [e_k, U_a]_m), isotropy e_k first, is
-    one product; A is its isotropy part and b its complement part times y.
-    Callers run it under ``np.errstate`` and check that it is finite.
-    """
+def _pass(space, Y, C=None, metric=None):
+    """A[N, dim_m, dim_h] and b[N, dim_m], the criterion being A xi - b, of
+    checked m-rows Y with C from ``metric`` or given, in one pass under the
+    caller's ``np.errstate``: G y serves the norms and (sum_i C_i alpha_i) y,
+    whose product with c_system is p[n, k, a] = sum_i C_i alpha_i(y, [e_k,
+    U_a]_m), isotropy e_k first; A is its isotropy part and b its complement
+    part times y.  One test finds A and b finite or raises LinAlgError."""
     n, h = len(Y), space.dim_h
-    p = (space.weighted_apply(Y, C)[:, None, :] @ space.c_system).reshape(
+    y = Y[:, None, :]  # each row as a 1 x dim_m matrix
+    gy = space._apply_gram(y)
+    b_weights, C = ((None, C[:, None, :]) if metric is None
+                    else metric._weights(y, gy))  # B names a failure's cause
+    p = ((C.take(space._block_of, axis=-1) * gy) @ space.c_system).reshape(
         n, space.dim, space.dim_m)
-    b_vec = -(Y[:, None, :] @ p[:, h:])[:, 0]
-    return p[:, :h].transpose(0, 2, 1), b_vec
-
-
-def _require_finite(*arrays):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise np.linalg.LinAlgError(
-            "the criterion system is not finite: the squared norm of y "
-            "overflows or underflows")
+    a_mat, b_vec = p[:, :h].transpose(0, 2, 1), -(y @ p[:, h:])[:, 0]
+    if not (_all(np.isfinite(a_mat)) and _all(np.isfinite(b_vec))):
+        raise np.linalg.LinAlgError(_NORM_OVERFLOW if metric is None or _all(
+            np.isfinite(b_weights)) else _GRADIENT_OVERFLOW)
+    return a_mat, b_vec
 
 
 @lru_cache(maxsize=None)
@@ -100,9 +102,8 @@ def _upper(h):
 
 
 def _svd_solve(a_mat, b_vec):
-    """Stacked SVD, rank by the ``lstsq`` rule: singular values above
-    RANK_RCOND times the largest count.  Checks finiteness before LAPACK."""
-    _require_finite(a_mat, b_vec)
+    """Stacked SVD of finite systems, rank by the ``lstsq`` rule: singular
+    values above RANK_RCOND times the largest count."""
     u, sigma, vt = np.linalg.svd(a_mat, full_matrices=False)
     kept = sigma > RANK_RCOND * sigma[:, :1]
     coef = (b_vec[:, None, :] @ u) / np.where(kept, sigma, np.inf)[:, None, :]
@@ -143,7 +144,7 @@ def _min_norm_solve(a_mat, b_vec):
     certified = (np.abs(r).max(axis=(1, 2)) * np.abs(r_inv).max(axis=(1, 2))
                  < 1e-2 / RANK_RCOND / (h * h))
     xi, rank = (r_inv @ raw[:, h, :h, None])[..., 0], np.full(n, h)
-    if not certified.all():
+    if not _all(certified):
         doubt = ~certified
         svd_xi, rank[doubt] = _svd_solve(a_mat[doubt], b_vec[doubt])
         qr_xi = xi[doubt]
@@ -186,10 +187,8 @@ def assemble(space, Y, C):
     isotropy basis e_c; b_a = -sum_i C_i alpha_i(y, [y, U_a]_m).
     """
     Y, C = _rows(space, Y, C)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_mat, b_vec = _system(space, Y, C)
-    _require_finite(a_mat, b_vec)
-    return a_mat, b_vec
+    with np.errstate(all="ignore"):
+        return _pass(space, Y, C)
 
 
 def criterion_residuals(space, Y, C, Xi) -> np.ndarray:
@@ -217,15 +216,16 @@ def solve_batch(space, Y, C) -> GraphBatch:
     return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, a_mat=a_mat)
 
 
-def _solve(space, Y, C):
-    """The numerical core: ``(xi, rank, residual, a_mat)`` of checked rows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_mat, b_vec = _system(space, Y, C)
+def _solve(space, Y, C=None, metric=None):
+    """The numerical core: ``(xi, rank, residual, a_mat)`` of checked rows,
+    with C from ``metric`` or as given, under one ``np.errstate``."""
+    with np.errstate(all="ignore"):
+        a_mat, b_vec = _pass(space, Y, C, metric)
         xi, rank = _min_norm_solve(a_mat, b_vec)
         residual = np.abs((a_mat @ xi[..., None])[..., 0] - b_vec).max(
             axis=1, initial=0.0)
-    if not np.isfinite(residual).all():
-        _require_finite(residual)
+        if not _all(np.isfinite(residual)):
+            raise np.linalg.LinAlgError(_NORM_OVERFLOW)
     return xi, rank, residual, a_mat
 
 
@@ -266,7 +266,7 @@ class GeodesicGraphResult:
 def geodesic_residual(metric: FinslerMetric, y, xi) -> Vector:
     """Left side of the geodesic-vector criterion; zero iff y + xi qualifies."""
     ym = metric.space._coerce_one(y)[None]
-    c = metric._c(ym)
+    c = metric._coefficients(ym)[1]
     xi = metric.space._coerce_one(xi, "h")[None]
     return _criterion(metric.space, ym, c, xi)[0]
 
@@ -282,7 +282,7 @@ def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     """
     space = metric.space
     ym = space._coerce_one(y)[None]
-    xi, rank, residual, a_mat = _solve(space, ym, metric._c(ym))
+    xi, rank, residual, a_mat = _solve(space, ym, metric=metric)
     full = np.zeros((2, space.dim))  # y and xi in full coordinates
     full[0, space.m_indices], full[1, space.h_indices] = ym[0], xi[0]
     rank = int(rank[0])
@@ -321,22 +321,20 @@ def check_equivariance_batch(metric: FinslerMetric, Y, H, T):
     in one batch.  Returns ``(deviation, unique_source,
     unique_transported)``, arrays over the rows: the norm of
     xi(transported y) - transported xi(y), and whether each side has a
-    unique solution.  A split whose brackets [h, m] or [h, h] leave m or h
-    by more than ``STRUCTURAL_TOL`` (found when it is built) raises.
+    unique solution.
     """
     space = metric.space
     Y, H, T = space.coerce_m(Y), space.coerce_h(H), _real(T, "T")
     if Y.ndim != 2 or H.shape != (len(Y), space.dim_h) or T.shape != (len(Y),):
         raise ValueError(f"expected Y[N, {space.dim_m}], H[N, {space.dim_h}] "
                          f"and T[N], got {Y.shape}, {H.shape} and {T.shape}")
-    space._require_invariant()
     c, m, h = space.alg.structure, space.m_indices, space.h_indices
     # with [h, m] in m and [h, h] in h, exp(t ad(H)) is block diagonal
     exp_m, exp_h = (matrix_exponential(np.einsum(
         "ni,ijk->nkj", H, c[np.ix_(h, part, part)]), T) for part in (m, h))
     # the concatenation is C-contiguous, so each row rounds as it does alone
-    rows = np.concatenate([Y, (exp_m @ Y[..., None])[..., 0]])
-    xi, rank = _solve(space, rows, metric.c_coefficients(rows))[:2]
+    rows = space.coerce_m(np.concatenate([Y, (exp_m @ Y[..., None])[..., 0]]))
+    xi, rank = _solve(space, rows, metric=metric)[:2]
     xi_src, xi_dst = np.split(xi, 2)
     diff = xi_dst - (exp_h @ xi_src[..., None])[..., 0]
     deviation = np.sqrt((diff[:, None, :] @ diff[..., None])[:, 0, 0])
@@ -363,12 +361,9 @@ class ScanReport(_Record):
             yield ",".join([*(float_repr(v) for v in row), float_repr(res)])
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_residual": float(self.max_residual),
-            "worst_y": [float(v) for v in self.worst_y],
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-        }
+        return {"max_residual": float(self.max_residual),
+                "worst_y": [float(v) for v in self.worst_y],
+                "n_samples": self.n_samples, "seed": self.seed}
 
 
 def go_property_scan(metric: FinslerMetric, n_samples: int,
@@ -385,17 +380,12 @@ def go_property_scan(metric: FinslerMetric, n_samples: int,
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, space.dim_m))
     samples /= space.alpha_norm(samples)[:, None]
-    residuals = solve_batch(space, samples,
-                            metric.c_coefficients(samples)).residual
+    residuals = _solve(space, samples, metric=metric)[2]
     worst = int(np.argmax(residuals))
-    return ScanReport(
-        max_residual=float(residuals[worst]),
-        worst_y=samples[worst],
-        samples=samples,
-        residuals=residuals,
-        labels=tuple(space.m_labels()),
-        seed=int(seed),
-    )
+    return ScanReport(max_residual=float(residuals[worst]),
+                      worst_y=samples[worst], samples=samples,
+                      residuals=residuals, labels=tuple(space.m_labels()),
+                      seed=int(seed))
 
 
 class MatrixRealization(_Record):

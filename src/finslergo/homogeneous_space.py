@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie_algebra import Check, LieAlgebra, Report, Vector, _real
+from .lie_algebra import Check, LieAlgebra, Report, Vector, _all, _real
 
 STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
@@ -54,9 +54,8 @@ class ReductiveSpace:
             raise ValueError("need exactly one Gram matrix per block")
         for a, blk in zip(alpha, self.blocks):
             if a.shape != (len(blk), len(blk)):
-                raise ValueError(
-                    f"Gram matrix shape {a.shape} does not match block "
-                    f"size {len(blk)}")
+                raise ValueError(f"Gram matrix shape {a.shape} does not "
+                                 f"match block size {len(blk)}")
             if not np.all(np.isfinite(a)):
                 raise ValueError("Gram matrices must be finite")
         self.alpha = alpha
@@ -126,12 +125,13 @@ class ReductiveSpace:
                                  f"project it onto {part} first")
             v = v[..., own]
         elif n != len(own):
-            raise ValueError(
-                f"expected {len(own)} {part}-coordinates or {self.dim} full "
-                f"coordinates, got shape {v.shape}")
-        if not np.isfinite(v).all():
+            raise ValueError(f"expected {len(own)} {part}-coordinates or "
+                             f"{self.dim} full coordinates, got shape {v.shape}")
+        if not _all(np.isfinite(v)):
             raise ValueError("coordinates must be finite")
-        if not allow_zero and not v.any(axis=-1).all():
+        # count_nonzero is the cheap test of one vector, any() that of rows
+        if not allow_zero and not (np.count_nonzero(v) if v.ndim == 1
+                                   else _all(v.any(axis=-1))):
             raise ValueError("the zero vector is not allowed here")
         return v
 
@@ -160,13 +160,15 @@ class ReductiveSpace:
 
     # -- block scalar products -------------------------------------------------
 
-    def _apply_gram(self, vm) -> np.ndarray:
-        """Rows of the unweighted block Gram applied to m-coordinates."""
-        return (vm[..., None, :] @ self._gram)[..., 0, :]
+    def _apply_gram(self, rows) -> np.ndarray:
+        """The unweighted block Gram applied to m-coordinates held as
+        1 x dim_m matrices ``[..., 1, dim_m]``: one product per row."""
+        return rows @ self._gram
 
     def weighted_apply(self, vm, weights) -> np.ndarray:
         """Rows of (sum_i weights[..., i] * alpha_i) applied to vm[..., dim_m]."""
-        return weights.take(self._block_of, axis=-1) * self._apply_gram(vm)
+        return (weights.take(self._block_of, axis=-1)
+                * self._apply_gram(vm[..., None, :])[..., 0, :])
 
     def alpha_norm(self, v):
         """Norm of the m-part of v in the unweighted block products.
@@ -177,12 +179,6 @@ class ReductiveSpace:
         vm = self.coerce_m(v, allow_zero=True)
         quad = (vm[..., None, :] @ self._gram) @ vm[..., :, None]
         return np.sqrt(quad[..., 0, 0])
-
-    def _block_quadratics(self, vm) -> Vector:
-        """Per-block values alpha_i(v, v) of m-coordinates ``[..., dim_m]``
-        that the library built, unchecked."""
-        return ((vm * self._apply_gram(vm))[..., None, :]
-                @ self._block_sums)[..., 0, :]
 
     # -- validation -------------------------------------------------------------
 
@@ -199,11 +195,9 @@ class ReductiveSpace:
         # with ad(e_n) on m the transpose of c_hmm[n]
         moved = c_hmm @ gram + gram @ c_hmm.transpose(0, 2, 1)
         in_block = np.equal.outer(self._block_of, self._block_of)
-        worst = {
-            **self._split_worst,
-            "alpha_symmetry": np.abs(gram - gram.T).max(initial=0.0),
-            "invariance": np.abs(moved[:, in_block]).max(initial=0.0),
-        }
+        worst = {**self._split_worst,
+                 "alpha_symmetry": np.abs(gram - gram.T).max(initial=0.0),
+                 "invariance": np.abs(moved[:, in_block]).max(initial=0.0)}
         min_eig = min((float(np.linalg.eigvalsh(a).min()) for a in self.alpha),
                       default=np.inf)
         scale = max(1.0, float(np.abs(c).max(initial=0.0)))
@@ -224,13 +218,10 @@ class ReductiveSpace:
     # -- serialization -----------------------------------------------------------
 
     def to_json_dict(self, family: "MetricFamily | None" = None) -> dict:
-        doc = {
-            "algebra": self.alg.to_json_dict(),
-            "h": self.h_labels(),
-            "m_blocks": [[self.alg.basis_labels[i] for i in blk]
-                         for blk in self.blocks],
-            "alpha": [[float(x) for x in a.ravel()] for a in self.alpha],
-        }
+        doc = {"algebra": self.alg.to_json_dict(), "h": self.h_labels(),
+               "m_blocks": [[self.alg.basis_labels[i] for i in blk]
+                            for blk in self.blocks],
+               "alpha": [[float(x) for x in a.ravel()] for a in self.alpha]}
         if family is not None:
             doc["family_a"] = [[float(x) for x in row] for row in family.a]
         return doc
@@ -256,9 +247,8 @@ class MetricFamily:
         if a.ndim != 2:
             raise ValueError("coefficient matrix must be 2-D (k x s)")
         if a.shape[0] < 1 or a.shape[1] != space.n_blocks:
-            raise ValueError(
-                f"coefficient matrix must be k x {space.n_blocks} with k >= 1, "
-                f"got {a.shape}")
+            raise ValueError(f"coefficient matrix must be k x {space.n_blocks}"
+                             f" with k >= 1, got {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
             raise ValueError("all family coefficients must be positive")
         space._require_invariant()

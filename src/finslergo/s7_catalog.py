@@ -25,7 +25,7 @@ from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
                        criterion_residuals, solve_batch,
                        solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
-from .lie_algebra import LieAlgebra, Vector, _real, _Record
+from .lie_algebra import LieAlgebra, Vector, _positive_tol, _real, _Record
 
 M_LABELS = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3")
 H_LABELS = ("H1", "H2", "H3", "W")
@@ -139,11 +139,8 @@ def build_s7_space() -> S7Space:
         if i < j:
             brackets.setdefault((i, j), {})[k] = c[i, j, k]
     alg = LieAlgebra(LABELS, brackets)
-    space = ReductiveSpace(
-        alg,
-        h=list(H_LABELS),
-        blocks=[["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]],
-    )
+    space = ReductiveSpace(alg, h=list(H_LABELS), blocks=[
+        ["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]])
 
     # 8 x 8 real realization; the extra u(1) direction realizes W as the
     # Z1 matrix shifted by -i * identity so that it annihilates the base point
@@ -270,6 +267,7 @@ def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over the base vectors
     ``y = rng.standard_normal((n, 7))`` and then the weights
     ``c = rng.uniform(0.25, 4.0, (n, 3))`` of ``rng = default_rng(seed)``."""
+    _positive_tol(tol)
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
@@ -295,6 +293,7 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     ``v = rng.standard_normal((n, 7))``, ``h = rng.standard_normal((n, 4))``
     and ``t = rng.uniform(-1.0, 1.0, n)``, in that order; y is v at unit norm.
     """
+    _positive_tol(tol)
     metric = _equivariance_metric()
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, 7))
@@ -336,6 +335,7 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    _positive_tol(tol)
     space = build_s7_space().space
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, 7))
@@ -347,17 +347,12 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     residual = np.abs(criterion_residuals(space, y, c, xi)).max(axis=1)
     sol = solve_batch(space, y, c)
     mismatch = np.where(sol.unique, np.abs(sol.xi - xi).max(axis=1), -1.0)
-    i_res = int(np.argmax(residual))
-    i_mis = int(np.argmax(mismatch))
+    i_res, i_mis = int(np.argmax(residual)), int(np.argmax(mismatch))
     found = bool(sol.unique[i_mis])
     return ClosedFormReport(
-        n_samples=n_samples,
-        tol=tol,
-        max_residual=float(residual[i_res]),
-        worst_residual_y=y[i_res],
-        worst_residual_c=c[i_res],
+        n_samples=n_samples, tol=tol, max_residual=float(residual[i_res]),
+        worst_residual_y=y[i_res], worst_residual_c=c[i_res],
         max_mismatch=max(float(mismatch[i_mis]), 0.0),
         worst_mismatch_y=y[i_mis] if found else np.zeros(7),
         worst_mismatch_c=c[i_mis] if found else np.ones(3),
-        n_unique=int(sol.unique.sum()),
-    )
+        n_unique=int(sol.unique.sum()))

@@ -406,6 +406,24 @@ def test_bad_config_value_names_the_key(capsys, monkeypatch, tmp_path, key,
     assert err == f"error: {key} must be {kind}, not {value!r}\n"
 
 
+@pytest.mark.parametrize("command, key, value", [
+    ("validate-l", "out", 1), ("graph", "out", 2.5), ("scan", "out", False),
+    ("graph", "space", 0), ("orbit", "space", ["s7"]),
+    ("scan", "space", None)])
+def test_a_config_path_that_is_not_a_string_names_the_key(
+        capfd, monkeypatch, tmp_path, command, key, value):
+    # open() would take an integer as a file descriptor: {"out": 1} wrote to
+    # and closed stdout, {"space": 0} read the space document from stdin
+    import finslergo.cli as cli
+    monkeypatch.setattr(cli, "build_s7_space", None)  # never reached
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([command, "--config", str(cfg)]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == f"error: {key} must be a path string, not {value!r}\n"
+
+
 def test_whole_float_config_values_are_integers(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"samples": 20.0, "seed": 3.0}))

@@ -180,6 +180,12 @@ def test_jacobi_rejects_bad_tol(so3):
         so3.check_jacobi(tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("-inf")])
+def test_jacobi_rejects_a_nan_or_negative_tol(so3, tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        so3.check_jacobi(tol=tol)
+
+
 # -- matrix exponential ------------------------------------------------------------
 
 def test_expm_zero_is_identity():

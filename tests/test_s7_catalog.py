@@ -10,7 +10,9 @@ from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        load_space_document, riemannian_metric, solve_batch,
                        solve_geodesic_graph, verify_closed_form)
 from finslergo.s7_catalog import (_complex_basis, ad_pattern_deviation,
+                                  check_equivariance_sweep,
                                   extended_matrix_deviation,
+                                  extended_matrix_sweep,
                                   isotropy_operator_patterns)
 from conftest import unit_m_samples
 
@@ -288,6 +290,15 @@ def test_verify_closed_form_passes(s7):
 def test_verify_closed_form_rejects_zero_samples():
     with pytest.raises(ValueError):
         verify_closed_form(n_samples=0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+@pytest.mark.parametrize("check", [verify_closed_form, extended_matrix_sweep,
+                                   check_equivariance_sweep])
+def test_oracle_checks_reject_a_nan_or_non_positive_tol(check, tol):
+    # a NaN tol used to fail every comparison and report passed: False
+    with pytest.raises(ValueError, match="tol must be positive"):
+        check(20, 0, tol)
 
 
 def test_closed_form_solves_finsler_systems_too(s7):

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
-                       ReductiveSpace, assemble, closed_form_xi,
-                       criterion_residuals, geodesic, go_property_scan,
-                       l_function_from_spec, riemannian_metric, solve_batch,
-                       solve_geodesic_graph)
+                       ReductiveSpace, assemble, check_equivariance_batch,
+                       closed_form_xi, criterion_residuals, geodesic,
+                       go_property_scan, l_function_from_spec,
+                       riemannian_metric, solve_batch, solve_geodesic_graph)
 from finslergo.geodesic import RANK_RCOND
 from conftest import SCALE_SPECS, embed
 
@@ -33,6 +33,7 @@ def _metrics(s7):
     }
 
 
+_QUICK_Y = np.array([0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
 _BANDS = {"near": (-6.0, -2.0), "close": (-10.0, -9.0), "edge": (-12.0, -8.0)}
 
 
@@ -360,7 +361,92 @@ def test_a_one_vector_solve_coerces_once_and_builds_no_batch(s7, monkeypatch):
     assert len(coerced) == 2 and len(built) == 1
 
 
+def test_a_one_vector_solve_applies_the_gram_and_the_gradient_once(
+        s7, monkeypatch):
+    # G y serves both the norms and the weighted vector, and the gradient
+    # of a built-in combiner is called on the norms without a second check
+    metric = _metrics(s7)["sq_sum"]
+    grams, grads = [], []
+    apply_gram, grad = type(s7.space)._apply_gram, metric.lf._grad
+
+    def counted_gram(self, rows):
+        grams.append(rows.shape)
+        return apply_gram(self, rows)
+
+    def counted_grad(u):
+        grads.append(u.shape)
+        return grad(u)
+
+    monkeypatch.setattr(type(s7.space), "_apply_gram", counted_gram)
+    monkeypatch.setattr(metric.lf, "_grad", counted_grad)
+    monkeypatch.setattr(metric.lf, "_check_args", None)  # never called
+    assert solve_geodesic_graph(metric, _QUICK_Y).unique
+    assert grams == [(1, 1, 7)] and grads == [(1, 2)]
+    go_property_scan(metric, 5, seed=0)  # a batch takes the same one pass
+    assert grams == [(1, 1, 7), (5, 1, 7)] and grads == [(1, 2), (5, 2)]
+
+
+def test_a_custom_gradient_of_the_wrong_shape_still_raises(s7):
+    # right where the combiner is checked (u < 10), one value too many above
+    def grad(u):
+        return 2.0 * u if u.max() < 10.0 else np.append(2.0 * u, 0.0)
+
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    metric = FinslerMetric(family, LFunction.custom(
+        lambda u: float(u @ u), grad, 2))
+    assert solve_geodesic_graph(metric, _QUICK_Y).unique
+    for call in (metric.c_coefficients, lambda y: solve_geodesic_graph(
+            metric, y)):
+        with pytest.raises(ValueError,
+                           match="gradient callable returned a wrong shape"):
+            call(100.0 * _QUICK_Y)
+
+
 # -- input that cannot be solved ----------------------------------------------
+
+@pytest.mark.parametrize("spec, scale, cause", [
+    ("sq_sum:1,3", 1e200, "the squared norm of y overflows or underflows"),
+    ("sq_sum:1,3", 1e-200, "the squared norm of y overflows or underflows"),
+    ("sq_sum:1e160,1", 1.0, "the combiner's gradient overflows")])
+def test_each_failure_cause_is_named_without_a_warning(s7, capfd, spec, scale,
+                                                        cause):
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    metric = FinslerMetric(family, l_function_from_spec(spec))
+    y = scale * _QUICK_Y
+    calls = (lambda: solve_geodesic_graph(metric, y),
+             lambda: metric.c_coefficients(y),
+             lambda: check_equivariance_batch(metric, y[None], np.ones((1, 4)),
+                                              [0.5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                call()
+            assert str(info.value) == \
+                f"the criterion system is not finite: {cause}"
+    out, err = capfd.readouterr()
+    assert out + err == ""
+
+
+def test_a_system_that_overflows_with_finite_weights_names_the_norm(s7,
+                                                                    capfd):
+    # weights from the metric (finite B at 1e153) and given weights C
+    metric = _metrics(s7)["sq_sum"]
+    y = np.full(7, 1e153)
+    assert np.isfinite(metric.c_coefficients(y)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve_geodesic_graph(metric, y),
+                     lambda: solve_batch(s7.space, 1e200 * _QUICK_Y[None],
+                                         np.ones((1, 3)))):
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                call()
+            assert str(info.value) == ("the criterion system is not finite: "
+                                       "the squared norm of y overflows or "
+                                       "underflows")
+    out, err = capfd.readouterr()
+    assert out + err == ""
+
 
 def test_overflowing_systems_raise_before_the_svd_without_output(s7, capfd):
     metric = _metrics(s7)["sq_sum"]
