@@ -78,15 +78,10 @@ def _path(key: str):
     return check
 
 
-def _format(value):
-    if value not in ("json", "csv"):
-        raise ValueError(f"--format must be 'json' or 'csv', not {value!r}")
-    return value
-
-
 # Every value a command can read, by dest, which is also its config-file
 # key: its default, its argparse options, and the check that converts a
-# value (but None where None is the default) or names what is wrong with it.
+# value (but None where None is the default) or names what is wrong with it;
+# the options' choices bind a config-file value too.
 _FLAGS = {
     "space": ("s7", {"help": "path to a space JSON file, or 's7'"},
               _path("space")),
@@ -102,7 +97,7 @@ _FLAGS = {
     "tol": (None, {"type": float},
             _number("tol", float, lambda v: v > 0, "positive")),
     "out": (None, {"help": "output path (default stdout)"}, _path("out")),
-    "format": (None, {"choices": ["json", "csv"]}, _format),
+    "format": (None, {"choices": ["json", "csv"]}, None),
     "y": (None, {"help": "base vector coordinates 'y1,y2,...'"},
           _parse_coords),
     "t_max": (2.0 * np.pi, {"type": float},
@@ -139,7 +134,11 @@ def _resolve_config(args) -> argparse.Namespace:
                  if getattr(args, key) is not None)
     cfg = {key: given.get(key, _FLAGS[key][0]) for key in dests}
     for key, value in cfg.items():
-        default, _, check = _FLAGS[key]
+        default, options, check = _FLAGS[key]
+        choices = options.get("choices")
+        if choices and value is not None and value not in choices:
+            raise ValueError(f"--{key} must be " + " or ".join(
+                map(repr, choices)) + f", not {value!r}")
         if check and (value is not None or default is not None):
             cfg[key] = check(value)
     return argparse.Namespace(**cfg)

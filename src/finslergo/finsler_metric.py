@@ -4,10 +4,12 @@ The combiner L takes the k norms of a metric family and must satisfy five
 conditions to produce a Minkowski norm: positivity away from zero, positive
 homogeneity of degree 2, nonnegative partials, a positive semi-definite
 Hessian, and a positive sum of partials.  :data:`L_CONDITIONS` describes
-them.  The built-in combiners (:meth:`LFunction.sum_of_squares`,
-:meth:`LFunction.squared_sum`, :func:`degree_one_sum`) record the verdict
-their form proves, and a metric accepts or rejects them by it; a custom
-combiner, or one built with ``LFunction(...)`` directly, is sampled by
+them.  The built-in kinds (:meth:`LFunction.sum_of_squares`,
+:meth:`LFunction.squared_sum`, :func:`degree_one_sum` and the spec strings)
+come from one table that records the verdict each form proves, and a metric
+accepts or rejects them by it.  A combiner of callables (``LFunction(...)``
+or its row-by-row lift :meth:`LFunction.custom`) has its gradient checked
+against its value at construction, and a metric samples it with
 :func:`validate_l`, which reports the worst witness per condition.
 
 The fundamental tensor of F contracts against the base vector as
@@ -17,6 +19,8 @@ independent finite-difference oracle is provided by :func:`FinslerMetric.fd_fund
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -48,75 +52,75 @@ def _rowdot(u, w) -> np.ndarray:
     return (u[..., None, :] @ w)[..., 0]
 
 
+# The built-in kinds: kind -> (value, gradient, failed conditions), the
+# value and gradient as functions of the weights w > 0 and the arguments
+# u[..., k].  Each form proves its verdict:
+# - sum_sq, L = sum_j w_j u_j^2: the gradient 2 w u is nonnegative and the
+#   Hessian diag(2 w) is positive definite, so it fails no condition;
+# - sq_sum, L = (sum_j w_j u_j)^2: the gradient 2 (w.u) w is nonnegative
+#   and the Hessian 2 w w^T is positive semi-definite, so it fails none;
+# - sum, L = sum_j w_j u_j: degree 1, not 2, so it fails exactly (ii),
+#   while the gradient w is positive and the Hessian is zero.
+_FORMS = {
+    "sum_sq": (lambda w, u: _rowdot(u * u, w), lambda w, u: 2.0 * w * u, ()),
+    "sq_sum": (lambda w, u: _rowdot(u, w) ** 2,
+               lambda w, u: 2.0 * (u[..., None, :] @ w) * w, ()),
+    "sum": (lambda w, u: _rowdot(u, w),
+            lambda w, u: np.broadcast_to(w, u.shape).copy(), ("ii",)),
+}
+
+
 class LFunction:
     """A combiner L with value and gradient on the positive orthant.
 
-    Built-in kinds evaluate a batch ``u[N, k]`` row by row in one array
-    expression; custom callables are called once per row.
+    ``LFunction(kind, arity, value, grad)`` takes callables on an argument
+    vector ``u[k]`` or a batch ``u[N, k]``; the gradient is checked against
+    central differences of the value at construction, and its shape at
+    every call.  The built-in kinds evaluate a batch in one expression.
 
-    ``form_failures`` holds the names of the conditions the combiner's form
-    fails, as the built-in constructors record them, or None when nothing
-    is known and only :func:`validate_l` can tell.
+    ``form_failures`` holds the names of the conditions a built-in form
+    fails, as the table of forms records them, or None for a combiner of
+    callables, which only :func:`validate_l` can judge.
     """
 
     def __init__(self, kind: str, arity: int, value, grad):
-        self.kind = kind
-        self.arity = int(arity)
+        self.kind, self.arity, self.form_failures = kind, int(arity), None
         if self.arity < 1:
             raise ValueError("arity must be at least 1")
-        self._value = value
-        self._grad = grad
-        self.form_failures = None
 
-    # -- built-in kinds ------------------------------------------------------
-
-    @classmethod
-    def _of_form(cls, kind, w, value, grad, failures) -> "LFunction":
-        lf = cls(kind, len(w), value, grad)
-        lf.form_failures = failures
-        return lf
-
-    @classmethod
-    def sum_of_squares(cls, weights) -> "LFunction":
-        """L(u) = sum_j w_j u_j^2 with positive weights.
-
-        Fails no condition: the gradient 2 w u is nonnegative and the
-        Hessian diag(2 w) is positive definite.
-        """
-        w = _positive_weights(weights)
-        return cls._of_form("sum_sq", w, lambda u: _rowdot(u * u, w),
-                            lambda u: 2.0 * w * u, ())
-
-    @classmethod
-    def squared_sum(cls, weights) -> "LFunction":
-        """L(u) = (sum_j w_j u_j)^2 with positive weights.
-
-        Fails no condition: the gradient 2 (w.u) w is nonnegative and the
-        Hessian 2 w w^T is positive semi-definite.
-        """
-        w = _positive_weights(weights)
-        return cls._of_form("sq_sum", w, lambda u: _rowdot(u, w) ** 2,
-                            lambda u: 2.0 * (u[..., None, :] @ w) * w, ())
-
-    @classmethod
-    def custom(cls, value, grad, arity: int) -> "LFunction":
-        """Wrap user callables; the gradient is cross-checked against finite
-        differences at construction.
-
-        The callables must be safe for concurrent invocation if the metric
-        is evaluated from multiple threads; everything else here is pure.
-        """
-        lf = cls("custom", arity, _per_row(value), _per_row(grad))
+        def checked(u):  # the gradient as floats, of the shape of u
+            g = np.asarray(grad(u), dtype=float)
+            if g.shape != u.shape:
+                raise ValueError("gradient callable returned a wrong shape")
+            return g
+        self._value, self._grad = value, checked
         rng = np.random.default_rng(12345)
-        for u in rng.uniform(0.3, 2.0, size=(4, arity)):
-            err = _grad_deviation(lf, u)
+        for u in rng.uniform(0.3, 2.0, size=(4, self.arity)):
+            g = self.grad(u)
+            fd = np.array([self.value(u + e) - self.value(u - e)
+                           for e in 1e-6 * np.eye(self.arity)]) / 2e-6
+            err = float(np.abs(fd - g).max() / max(1.0, np.abs(g).max()))
             if err > GRAD_CHECK_TOL:
                 raise ValueError(
                     "custom gradient disagrees with finite differences "
                     f"(relative deviation {err:.3e} at u={u})")
-        return lf
 
-    # -- evaluation ----------------------------------------------------------
+    @classmethod
+    def sum_of_squares(cls, weights) -> "LFunction":
+        """L(u) = sum_j w_j u_j^2 with positive weights; fails no condition."""
+        return _built_in("sum_sq", weights)
+
+    @classmethod
+    def squared_sum(cls, weights) -> "LFunction":
+        """L(u) = (sum_j w_j u_j)^2 with positive weights; fails none."""
+        return _built_in("sq_sum", weights)
+
+    @classmethod
+    def custom(cls, value, grad, arity: int) -> "LFunction":
+        """``LFunction("custom", ...)`` of callables on one argument vector,
+        called once per row of a batch.  They must be safe for concurrent
+        invocation if the metric is evaluated from multiple threads."""
+        return cls("custom", arity, _per_row(value), _per_row(grad))
 
     def _check_args(self, u) -> Vector:
         u = _real(u, "arguments")
@@ -130,35 +134,33 @@ class LFunction:
         return float(v) if u.ndim == 1 else v
 
     def grad(self, u) -> Vector:
-        u = self._check_args(u)
-        g = np.asarray(self._grad(u), dtype=float)
-        if g.shape != u.shape:
-            raise ValueError("gradient callable returned a wrong shape")
-        return g
+        return self._grad(self._check_args(u))
 
     def __repr__(self) -> str:
         return f"LFunction(kind={self.kind!r}, arity={self.arity})"
 
 
 def degree_one_sum(weights) -> LFunction:
-    """L(u) = sum_j w_j u_j: a plain weighted sum, degree 1, not degree 2.
+    """L(u) = sum_j w_j u_j: degree 1, not 2, so a falsifier that fails
+    exactly the homogeneity condition (ii)."""
+    return _built_in("sum", weights)
 
-    Useful as a falsifier: it fails exactly the homogeneity condition (ii),
-    while the gradient w is positive and the Hessian is zero.
-    """
+
+def _built_in(kind: str, weights) -> LFunction:
+    """The combiner of a :data:`_FORMS` kind with its recorded verdict; its
+    gradient is the form's, so it is neither checked nor wrapped."""
+    value, grad, failures = _FORMS[kind]
     w = _positive_weights(weights)
-    return LFunction._of_form("sum", w, lambda u: _rowdot(u, w),
-                              lambda u: np.broadcast_to(w, u.shape).copy(),
-                              ("ii",))
+    lf = object.__new__(LFunction)
+    lf.kind, lf.arity, lf.form_failures = kind, len(w), failures
+    lf._value, lf._grad = partial(value, w), partial(grad, w)
+    return lf
 
 
 def _per_row(fn):
     """Lift a callable on one argument vector to batches, row by row."""
-    def lifted(u):
-        if u.ndim == 1:
-            return fn(u)
-        return np.array([fn(row) for row in u], dtype=float)
-    return lifted
+    return lambda u: (fn(u) if u.ndim == 1
+                      else np.array([fn(row) for row in u], dtype=float))
 
 
 def _positive_weights(weights) -> Vector:
@@ -168,14 +170,6 @@ def _positive_weights(weights) -> Vector:
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise ValueError("weights must be finite and positive")
     return w
-
-
-def _grad_deviation(lf: LFunction, u, step: float = 1e-6) -> float:
-    """Relative deviation between lf.grad and a central finite difference."""
-    g = lf.grad(u)
-    fd = np.array([lf.value(u + e) - lf.value(u - e)
-                   for e in step * np.eye(lf.arity)]) / (2.0 * step)
-    return float(np.abs(fd - g).max() / max(1.0, np.abs(g).max()))
 
 
 def _fd_hessian(lf: LFunction, u, step: float = HESSIAN_STEP) -> np.ndarray:
@@ -299,8 +293,7 @@ class FinslerMetric:
         u = self._row_norms(y, gy)[..., 0, :]
         if not (_all(np.isfinite(u)) and _all(u)):  # a root is never < 0
             raise np.linalg.LinAlgError(_NORM_OVERFLOW)
-        lf = self.lf  # a built-in form needs no argument or shape check
-        b = (lf.grad if lf.form_failures is None else lf._grad)(u) / (2.0 * u)
+        b = self.lf._grad(u) / (2.0 * u)  # u needs no argument check
         return b, b[..., None, :] @ self.family.a
 
     def _coefficients(self, ym: Vector) -> tuple:
@@ -353,12 +346,18 @@ class FinslerMetric:
 
     def fundamental_contraction(self, y, v) -> float:
         """g_y(y, v) = sum_i C_i alpha_i(y, v), with C (of degree 0) taken at
-        y / 2^e as in :meth:`f_value`; so g_y(2^s y, v) = 2^s g_y(y, v)."""
+        y / 2^e as in :meth:`f_value`; so g_y(2^s y, v) = 2^s g_y(y, v).
+        A contraction that is not finite raises ``LinAlgError``."""
         ym = self.space._coerce_one(y)
         vm = self.space._coerce_one(v, allow_zero=True)
         c = self._coefficients(
             np.ldexp(ym, -int(np.frexp(np.abs(ym).max())[1])))[1]
-        return float(self.space.weighted_apply(ym, c) @ vm)
+        with np.errstate(all="ignore"):
+            g = float(self.space.weighted_apply(ym, c) @ vm)
+        if not np.isfinite(g):
+            raise np.linalg.LinAlgError(
+                "g_y(y, v) is not finite: the contraction overflows")
+        return g
 
     def fd_fundamental(self, y, v, step: float = 1e-4) -> float:
         """Independent oracle: central difference of 0.5*F^2(y + t v) at 0."""
@@ -388,13 +387,8 @@ def l_function_from_spec(doc) -> LFunction:
     if not isinstance(doc, dict):
         raise ValueError(f"expected 'kind:w1,w2,...' or a dict, got {doc!r}")
     kind = doc.get("kind")
-    weights = doc.get("weights", [])
-    if kind == "sum_sq":
-        return LFunction.sum_of_squares(weights)
-    if kind == "sq_sum":
-        return LFunction.squared_sum(weights)
-    if kind == "sum":
-        return degree_one_sum(weights)
     if kind == "custom":
         raise ValueError("custom combiners are available via the library API only")
-    raise ValueError(f"unknown combiner kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _FORMS:
+        raise ValueError(f"unknown combiner kind {kind!r}")
+    return _built_in(kind, doc.get("weights", []))

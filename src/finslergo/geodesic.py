@@ -176,8 +176,13 @@ class GraphBatch(_Record):
 
     @cached_property
     def sigma(self) -> np.ndarray:
-        sigma = np.linalg.svd(self.a_mat, compute_uv=False)
-        return np.pad(sigma, ((0, 0), (0, self.xi.shape[1] - sigma.shape[1])))
+        return _singular_values(self.a_mat, self.xi.shape[1])
+
+
+def _singular_values(a_mat, h) -> np.ndarray:
+    """Singular values of each A[N, m, h], descending, padded with 0 to h."""
+    sigma = np.linalg.svd(a_mat, compute_uv=False)
+    return np.pad(sigma, ((0, 0), (0, h - sigma.shape[1])))
 
 
 def assemble(space, Y, C):
@@ -254,8 +259,7 @@ class GeodesicGraphResult:
     def sigma_min(self) -> float:
         if not self.xi_h.size:
             return np.inf
-        sigma = np.linalg.svd(self.a_mat, compute_uv=False)
-        return float(sigma[-1]) if sigma.size == self.xi_h.size else 0.0
+        return float(_singular_values(self.a_mat[None], self.xi_h.size)[0, -1])
 
     def to_json_dict(self) -> dict:
         return {"y": self.y_m.tolist(), "xi": self.xi_h.tolist(),

@@ -250,7 +250,7 @@ class MetricFamily:
             raise ValueError(f"coefficient matrix must be k x {space.n_blocks}"
                              f" with k >= 1, got {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
-            raise ValueError("all family coefficients must be positive")
+            raise ValueError("family coefficients must be finite and positive")
         space._require_invariant()
         self.space = space
         self.a = a

@@ -263,12 +263,19 @@ def _check_entry(worst, tol, **witness) -> dict:
             **{k: np.asarray(v).tolist() for k, v in witness.items()}}
 
 
+def _sweep_rng(n_samples: int, seed: int, tol):
+    """The generator of an oracle sweep, once n_samples and tol are checked."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    _positive_tol(tol)
+    return np.random.default_rng(seed)
+
+
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over the base vectors
     ``y = rng.standard_normal((n, 7))`` and then the weights
     ``c = rng.uniform(0.25, 4.0, (n, 3))`` of ``rng = default_rng(seed)``."""
-    _positive_tol(tol)
-    rng = np.random.default_rng(seed)
+    rng = _sweep_rng(n_samples, seed, tol)
     y = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
     dev = extended_matrix_deviation(y, c)
@@ -293,9 +300,8 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     ``v = rng.standard_normal((n, 7))``, ``h = rng.standard_normal((n, 4))``
     and ``t = rng.uniform(-1.0, 1.0, n)``, in that order; y is v at unit norm.
     """
-    _positive_tol(tol)
+    rng = _sweep_rng(n_samples, seed, tol)
     metric = _equivariance_metric()
-    rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, 7))
     h = rng.standard_normal((n_samples, 4))
     t = rng.uniform(-1.0, 1.0, n_samples)
@@ -333,11 +339,8 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     For each pair the closed form must satisfy the criterion within tol,
     and match the minimal-norm solver wherever it reports a unique solution.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    _positive_tol(tol)
+    rng = _sweep_rng(n_samples, seed, tol)
     space = build_s7_space().space
-    rng = np.random.default_rng(seed)
     v = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
     y = v / space.alpha_norm(v)[:, None]

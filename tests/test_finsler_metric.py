@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -417,6 +419,24 @@ def test_contraction_is_finite_where_the_squared_norm_overflows(s7):
     assert 6.4e156 < value < 6.5e156
 
 
+@pytest.mark.parametrize("v, value", [(QUICK_Y, "inf"), (np.ones(7), "nan")],
+                         ids=["same-sign", "mixed-sign"])
+def test_a_contraction_that_overflows_raises_without_a_warning(s7, v, value):
+    # C ~ 1e300 is finite, but C alpha(y, .) at y ~ 1e120 is not; it used to
+    # return inf, or nan where terms of both signs overflow, with a warning
+    metric = _quick_start_metric(s7, "sum_sq:1e300,1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"g_y\(y, v\) is not finite: the "
+                                 "contraction overflows"):
+            metric.fundamental_contraction(1e120 * QUICK_Y, v)
+    c = metric.c_coefficients(QUICK_Y)  # of degree 0 in y
+    with np.errstate(all="ignore"):  # the product the check refuses
+        raw = metric.space.weighted_apply(1e120 * QUICK_Y, c) @ v
+    assert repr(float(raw)) == value
+
+
 def test_fd_oracle_riemannian(s7):
     metric = riemannian_metric(s7.space, [1.0, 2.0, 3.0])
     rng = np.random.default_rng(17)
@@ -487,6 +507,38 @@ def test_built_in_verdicts_agree_with_sampling(kind, verdict):
             lf = l_function_from_spec({"kind": kind, "weights": weights})
             assert lf.form_failures == verdict
             assert list(verdict) == validate_l(lf, 64, seed=seed).failed()
+
+
+def test_a_direct_combiner_is_refused_when_its_gradient_disagrees(s7):
+    # the value of sum_sq:1,1 with the gradient of sum_sq:1,2: the block
+    # weights B_j = L_j / (2 u_j) would belong to another metric
+    def value(u):
+        return (u * u).sum(-1)
+
+    with pytest.raises(ValueError, match="custom gradient disagrees with "
+                                         "finite differences"):
+        LFunction("mine", 2, value,
+                  lambda u: np.stack([2 * u[..., 0], 4 * u[..., 1]], -1))
+    # the right gradient is accepted, and solves as the built-in form does
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    direct = FinslerMetric(family, LFunction("mine", 2, value,
+                                             lambda u: 2.0 * u))
+    built_in = _quick_start_metric(s7, "sum_sq:1,1")
+    for y in (QUICK_Y, 1e-120 * QUICK_Y, np.ones(7)):
+        assert np.array_equal(direct.c_coefficients(y),
+                              built_in.c_coefficients(y))
+
+
+@pytest.mark.parametrize("kind, build", [
+    ("sum_sq", LFunction.sum_of_squares), ("sq_sum", LFunction.squared_sum),
+    ("sum", degree_one_sum)])
+def test_a_spec_and_its_constructor_build_the_same_combiner(kind, build):
+    u = np.array([[0.5, 2.0], [1.5, 0.25]])
+    by_spec, by_call = l_function_from_spec(f"{kind}:2,3"), build([2.0, 3.0])
+    assert (by_spec.kind, by_spec.arity, by_spec.form_failures) == (
+        by_call.kind, by_call.arity, by_call.form_failures)
+    assert np.array_equal(by_spec.value(u), by_call.value(u))
+    assert np.array_equal(by_spec.grad(u), by_call.grad(u))
 
 
 def test_combiners_without_a_verdict_are_sampled_at_construction(

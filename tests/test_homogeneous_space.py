@@ -263,6 +263,13 @@ def test_family_rejects_nonpositive(s7):
         MetricFamily(s7.space, [[1.0, -2.0, 1.0]])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_family_rejects_a_non_finite_coefficient_by_name(s7, bad):
+    with pytest.raises(ValueError, match="^family coefficients must be "
+                                         "finite and positive$"):
+        MetricFamily(s7.space, [[bad, 1.0, 1.0]])
+
+
 def test_family_rejects_bad_shape(s7):
     with pytest.raises(ValueError):
         MetricFamily(s7.space, [[1.0, 2.0]])

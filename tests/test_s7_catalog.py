@@ -301,6 +301,14 @@ def test_oracle_checks_reject_a_nan_or_non_positive_tol(check, tol):
         check(20, 0, tol)
 
 
+@pytest.mark.parametrize("check", [verify_closed_form, extended_matrix_sweep,
+                                   check_equivariance_sweep])
+def test_oracle_checks_reject_zero_samples_by_name(check):
+    # the sweeps used to end in numpy's argmax of an empty sequence
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        check(0, 0, 1e-8)
+
+
 def test_closed_form_solves_finsler_systems_too(s7):
     # weights induced by a genuinely composite norm, not constants
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [0.5, 2.0, 1.0]])

@@ -402,6 +402,21 @@ def test_a_custom_gradient_of_the_wrong_shape_still_raises(s7):
             call(100.0 * _QUICK_Y)
 
 
+def test_a_direct_gradient_of_the_wrong_shape_raises_in_the_one_pass(s7):
+    # LFunction(...) checks the shape of its gradient at every call, also
+    # where the solve calls it on the norms without an argument check
+    def grad(u):
+        return 2.0 * u if u.max() < 10.0 else 2.0 * u[..., :1]
+
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    metric = FinslerMetric(family, LFunction(
+        "mine", 2, lambda u: (u * u).sum(-1), grad))
+    assert solve_geodesic_graph(metric, _QUICK_Y).unique
+    with pytest.raises(ValueError,
+                       match="gradient callable returned a wrong shape"):
+        solve_geodesic_graph(metric, 100.0 * _QUICK_Y)
+
+
 # -- input that cannot be solved ----------------------------------------------
 
 @pytest.mark.parametrize("spec, scale, cause", [
