@@ -10,8 +10,8 @@ from .finsler_metric import (L_CONDITIONS, FinslerMetric, LFunction,
 from .geodesic import (GeodesicGraphResult, GraphBatch, MatrixRealization,
                        ScanReport, assemble, check_equivariance_batch,
                        criterion_residuals, geodesic_residual,
-                       go_property_scan, is_geodesic_vector, orbit_curve,
-                       solve_batch, solve_geodesic_graph)
+                       go_property_scan, orbit_curve, solve_batch,
+                       solve_geodesic_graph)
 from .s7_catalog import (ClosedFormReport, S7Space, build_s7_space,
                          closed_form_xi, extended_matrix, k_coefficients,
                          verify_closed_form)
@@ -25,8 +25,8 @@ __all__ = [
     "l_function_from_spec", "riemannian_metric", "validate_l",
     "GeodesicGraphResult", "GraphBatch", "MatrixRealization", "ScanReport",
     "assemble", "check_equivariance_batch", "criterion_residuals",
-    "geodesic_residual", "go_property_scan", "is_geodesic_vector",
-    "orbit_curve", "solve_batch", "solve_geodesic_graph",
+    "geodesic_residual", "go_property_scan", "orbit_curve", "solve_batch",
+    "solve_geodesic_graph",
     "ClosedFormReport", "S7Space", "build_s7_space", "closed_form_xi",
     "extended_matrix", "k_coefficients", "verify_closed_form",
 ]

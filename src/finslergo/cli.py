@@ -19,6 +19,7 @@ from .finsler_metric import (L_CONDITIONS, FinslerMetric, l_function_from_spec,
 from .geodesic import (float_repr, go_property_scan, orbit_curve,
                        solve_geodesic_graph)
 from .homogeneous_space import MetricFamily, load_space_document
+from .lie_algebra import _json_number
 from .s7_catalog import (_check_entry, ad_pattern_deviation, build_s7_space,
                          check_equivariance_sweep, extended_matrix_sweep,
                          verify_closed_form)
@@ -45,7 +46,7 @@ def _parse_matrix(value) -> np.ndarray:
 def _parse_coords(value) -> np.ndarray:
     try:
         if isinstance(value, str):
-            value = [float(x) for x in value.split(",") if x.strip()]
+            value = [float(x) for x in value.split(",")]
         v = np.asarray(value, dtype=float)
         if v.ndim != 1:
             raise ValueError
@@ -59,13 +60,10 @@ def _number(key: str, kind, ok, rule: str):
     """Check of a numeric value: its type, since config-file values arrive
     unconverted (no bool, str or fraction), then its range."""
     def check(value):
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or kind is int and value % 1):  # a fraction, inf or nan
-            noun = "an integer" if kind is int else "a number"
-            raise ValueError(f"{key} must be {noun}, not {value!r}")
-        if not ok(kind(value)):
+        value = _json_number(value, key, kind)
+        if not ok(value):
             raise ValueError(f"--{key.replace('_', '-')} must be {rule}")
-        return kind(value)
+        return value
     return check
 
 

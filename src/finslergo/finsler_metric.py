@@ -14,8 +14,8 @@ against its value at construction, and a metric samples it with
 
 The fundamental tensor of F contracts against the base vector as
 ``g_y(y, v) = sum_j B_j(y) g_j(y, v) = sum_i C_i(y) alpha_i(y, v)`` with
-``B_j = L_j / (2 sqrt(g_j(y, y)))`` and ``C_i = sum_j B_j a[j, i]``; an
-independent finite-difference oracle is provided by :func:`FinslerMetric.fd_fundamental`.
+``B_j = L_j / (2 sqrt(g_j(y, y)))`` and ``C_i = sum_j B_j a[j, i]``;
+:meth:`FinslerMetric.fundamental_contraction` evaluates it exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .homogeneous_space import MetricFamily
-from .lie_algebra import Check, Report, Vector, _all, _real
+from .lie_algebra import Check, Report, Vector, _all, _json_array, _real
 
 GRAD_CHECK_TOL = 1e-6
 HOMOGENEITY_TOL = 1e-10
@@ -359,15 +359,6 @@ class FinslerMetric:
                 "g_y(y, v) is not finite: the contraction overflows")
         return g
 
-    def fd_fundamental(self, y, v, step: float = 1e-4) -> float:
-        """Independent oracle: central difference of 0.5*F^2(y + t v) at 0."""
-        if step <= 0:
-            raise ValueError("step must be positive")
-        ym = self.space._coerce_one(y)
-        vm = self.space._coerce_one(v, allow_zero=True)
-        return (self.f_value(ym + step * vm) ** 2
-                - self.f_value(ym - step * vm) ** 2) / (4.0 * step)
-
     def __repr__(self) -> str:
         return f"FinslerMetric(k={self.k}, L={self.lf.kind!r})"
 
@@ -391,4 +382,7 @@ def l_function_from_spec(doc) -> LFunction:
         raise ValueError("custom combiners are available via the library API only")
     if not isinstance(kind, str) or kind not in _FORMS:
         raise ValueError(f"unknown combiner kind {kind!r}")
-    return _built_in(kind, doc.get("weights", []))
+    extra = set(doc) - {"kind", "weights"}
+    if extra:
+        raise ValueError(f"unknown combiner keys {sorted(extra)}")
+    return _built_in(kind, _json_array(doc.get("weights", []), "weights"))

@@ -25,11 +25,9 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .finsler_metric import _GRADIENT_OVERFLOW, _NORM_OVERFLOW, FinslerMetric
-from .lie_algebra import (Check, Vector, _all, _real, _Record,
-                          matrix_exponential)
+from .lie_algebra import Vector, _all, _real, _Record, matrix_exponential
 
 RANK_RCOND = 1e-10
-GEODESIC_VECTOR_TOL = 1e-9
 
 
 def float_repr(x) -> str:
@@ -293,28 +291,6 @@ def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     return GeodesicGraphResult(
         y=full[0], xi=full[1], residual_norm=float(residual[0]), rank=rank,
         unique=rank == space.dim_h, y_m=ym[0], xi_h=xi[0], a_mat=a_mat[0])
-
-
-def is_geodesic_vector(metric: FinslerMetric, w) -> Check:
-    """Test the criterion for a full algebra vector w with nonzero m-part.
-
-    The tolerance is relative: the criterion is quadratic in y, so the
-    residual is compared against F(y_m)^2 times the largest structure
-    constant magnitude.  The ``geodesic_vector`` check holds the max-abs
-    residual as ``worst``, and ``GEODESIC_VECTOR_TOL`` times that scale as
-    ``tol``.
-    """
-    space = metric.space
-    w = space.alg.vector(w)
-    ym = w[space.m_indices]
-    if not np.any(ym):
-        raise ValueError("vector has zero m-part; the criterion degenerates")
-    residual = geodesic_residual(metric, ym, w[space.h_indices])
-    residual_max = float(np.abs(residual).max(initial=0.0))
-    f = metric.f_value(ym)  # f * f is inf where F^2 overflows; f ** 2 raises
-    scale = f * f * float(np.abs(space.alg.structure).max(initial=0.0))
-    tol = GEODESIC_VECTOR_TOL * scale
-    return Check("geodesic_vector", residual_max <= tol, residual_max, tol)
 
 
 def check_equivariance_batch(metric: FinslerMetric, Y, H, T):

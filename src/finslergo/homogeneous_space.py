@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lie_algebra import Check, LieAlgebra, Report, Vector, _all, _real
+from .lie_algebra import (Check, LieAlgebra, Report, Vector, _all,
+                          _json_array, _real)
 
 STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
@@ -229,9 +230,11 @@ class ReductiveSpace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReductiveSpace":
         alg = LieAlgebra.from_json_dict(doc["algebra"])
-        blocks = doc["m_blocks"]
-        alpha = [np.array(flat, dtype=float).reshape(len(blk), len(blk))
-                 for flat, blk in zip(doc["alpha"], blocks)]
+        blocks, alpha = doc["m_blocks"], doc["alpha"]
+        if len(alpha) != len(blocks):
+            raise ValueError("alpha must hold one Gram matrix per block")
+        alpha = [_json_array(flat, "alpha").reshape(len(blk), len(blk))
+                 for flat, blk in zip(alpha, blocks)]
         return cls(alg, doc["h"], blocks, alpha)
 
     def __repr__(self) -> str:
@@ -276,5 +279,5 @@ def load_space_document(doc: dict):
         raise ValueError(f"space document fails checks {failed}")
     family = None
     if "family_a" in doc:
-        family = MetricFamily(space, np.array(doc["family_a"], dtype=float))
+        family = MetricFamily(space, _json_array(doc["family_a"], "family_a"))
     return space, family

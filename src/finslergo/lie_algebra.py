@@ -40,6 +40,23 @@ def _real(x, what: str, copy: bool = False) -> np.ndarray:
     return np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
 
 
+def _json_number(value, key: str, kind=float):
+    """A number of a JSON document as ``kind``; bool, str and, for ``int``,
+    a fraction, inf or nan raise ``ValueError`` instead of being converted."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or kind is int and value % 1):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {noun}, not {value!r}")
+    return kind(value)
+
+
+def _json_array(value, key: str) -> np.ndarray:
+    """Float array of a JSON number or of nested lists of numbers."""
+    if not isinstance(value, (list, tuple)):
+        return np.asarray(_json_number(value, key))
+    return np.array([_json_array(v, key) for v in value], dtype=float)
+
+
 def _positive_tol(tol) -> float:
     """tol, or ``ValueError`` where it is NaN or not above zero."""
     if not tol > 0:
@@ -263,8 +280,9 @@ class LieAlgebra:
             raise ValueError("dim does not match the number of basis labels")
         brackets = {}
         for entry in doc.get("brackets", []):
-            key = (int(entry["i"]), int(entry["j"]))
-            brackets[key] = {int(k): float(v)
+            key = tuple(_json_number(entry[k], f"bracket {k}", int)
+                        for k in "ij")
+            brackets[key] = {int(k): _json_number(v, "bracket coefficient")
                              for k, v in entry["coeffs"].items()}
         return cls(labels, brackets)
 

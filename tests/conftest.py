@@ -40,6 +40,22 @@ def family_product(family, j, u, v):
     return float(u @ family_gram(family, j) @ v)
 
 
+def fd_fundamental(metric, y, v, step=1e-4):
+    """Central difference of 0.5 F^2(y + t v) at t = 0: an oracle for
+    ``metric.fundamental_contraction(y, v)`` at |y| and |v| near 1."""
+    y, v = np.asarray(y, dtype=float), np.asarray(v, dtype=float)
+    return (metric.f_value(y + step * v) ** 2
+            - metric.f_value(y - step * v) ** 2) / (4.0 * step)
+
+
+def geodesic_bound(metric, y):
+    """Largest max|geodesic_residual| that counts as zero at m-part y:
+    1e-9 F(y)^2 times the largest structure constant, since the criterion
+    is quadratic in y."""
+    f = metric.f_value(y)
+    return 1e-9 * f * f * np.abs(metric.space.alg.structure).max()
+
+
 def embed(space, v, indices):
     """Full coordinates of m- or h-coordinates v[..., n], placed at the
     space's ``m_indices`` or ``h_indices``."""

@@ -18,9 +18,8 @@ from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, assemble, check_equivariance_batch,
                        closed_form_xi, criterion_residuals, extended_matrix,
                        geodesic_residual, go_property_scan,
-                       is_geodesic_vector, l_function_from_spec,
-                       riemannian_metric, solve_batch, solve_geodesic_graph,
-                       verify_closed_form)
+                       l_function_from_spec, riemannian_metric, solve_batch,
+                       solve_geodesic_graph, verify_closed_form)
 from finslergo.cli import main
 from conftest import embed, unit_m_samples
 
@@ -327,8 +326,6 @@ _ONE_VECTOR_CALLS = {
         _ROWS, np.ones(7)),
     "fundamental_contraction v": lambda m: m.fundamental_contraction(
         np.ones(7), _ROWS),
-    "fd_fundamental y": lambda m: m.fd_fundamental(_ROWS, np.ones(7)),
-    "fd_fundamental v": lambda m: m.fd_fundamental(np.ones(7), _ROWS),
 }
 
 
@@ -338,11 +335,6 @@ def test_one_vector_entry_points_reject_rows(round_metric, name):
         else r"\[7\] or \[11\], got shape \(2, 7\)"
     with pytest.raises(ValueError, match="expected one vector " + shape):
         _ONE_VECTOR_CALLS[name](round_metric)
-
-
-def test_is_geodesic_vector_rejects_rows(round_metric):
-    with pytest.raises(ValueError, match=r"length 11, got shape \(2, 11\)"):
-        is_geodesic_vector(round_metric, np.ones((2, 11)))
 
 
 def test_non_finite_graph_input_exits_2_without_lapack_noise(capfd):
@@ -390,8 +382,6 @@ def test_overflowing_criterion_raises_without_a_warning(s7):
         warnings.simplefilter("always")
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             geodesic_residual(metric, y, np.zeros(4))
-        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            is_geodesic_vector(metric, np.concatenate([y, np.zeros(4)]))
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
             criterion_residuals(s7.space, y[None], c, np.zeros((1, 4)))
         # at unit scale the same metric gives a finite residual

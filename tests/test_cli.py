@@ -452,7 +452,8 @@ def test_non_finite_t_max_is_rejected_before_the_solve(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("flags, flag", [
-    (["--y", "1,a,0,0,0,0,0"], "--y"), (["--tol", "nan"], "--tol")])
+    (["--y", "1,a,0,0,0,0,0"], "--y"), (["--tol", "nan"], "--tol"),
+    (["--y", "0.3,,-0.9,0.4,1.1,0.6,-0.2,0.8"], "--y")])
 def test_malformed_numbers_name_the_flag(capsys, flags, flag):
     code, _, err = run(capsys, "graph", "--y", "1,0,0,0,0,0,0", *flags)
     assert code == 2 and err.startswith(f"error: {flag} ")
@@ -461,7 +462,11 @@ def test_malformed_numbers_name_the_flag(capsys, flags, flag):
 @pytest.mark.parametrize("spec, detail", [
     ("sq_sum:1,x", "could not convert string to float: 'x'"),
     ("sq_sum:1e400,1", "weights must be finite and positive"),
-    ("nope:1", "unknown combiner kind 'nope'"), (3, "expected 'kind:")])
+    ("nope:1", "unknown combiner kind 'nope'"), (3, "expected 'kind:"),
+    ({"kind": "sq_sum", "weights": [True, "3"]},
+     "weights must be a number, not True"),
+    ({"kind": "sq_sum", "weights": [1, 3], "typo": 1},
+     "unknown combiner keys ['typo']")])
 def test_bad_combiner_spec_names_the_flag(capsys, tmp_path, spec, detail):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"l": spec}))
@@ -568,6 +573,9 @@ def test_a_flag_or_key_the_command_does_not_read_exits_2(capsys, tmp_path,
     ("--space", "{}", "'algebra'"),
     ("--space", "[1, 2]", "list indices must be integers or slices, not str"),
     ("--space", "x", "Expecting value: line 1 column 1 (char 0)"),
+    ("--space", '{"algebra": {"basis": ["a", "b"], "brackets": '
+     '[{"i": 0.5, "j": 1, "coeffs": {"0": 1}}]}}',
+     "bracket i must be an integer, not 0.5"),
     ("--config", "x", "Expecting value: line 1 column 1 (char 0)")])
 def test_a_bad_json_file_names_its_flag_and_path(capsys, tmp_path, flag, text,
                                                  detail):

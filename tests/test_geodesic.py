@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        ReductiveSpace, assemble, check_equivariance_batch,
                        closed_form_xi, criterion_residuals, geodesic_residual,
-                       go_property_scan, is_geodesic_vector, k_coefficients,
-                       matrix_exponential, orbit_curve, riemannian_metric,
-                       solve_batch, solve_geodesic_graph)
-from conftest import embed, unit_m_samples
+                       go_property_scan, k_coefficients, matrix_exponential,
+                       orbit_curve, riemannian_metric, solve_batch,
+                       solve_geodesic_graph)
+from conftest import embed, geodesic_bound, unit_m_samples
 
 
 @pytest.fixture
@@ -146,44 +146,33 @@ def test_result_json_shape(round_metric):
 
 # -- geodesic vector check ---------------------------------------------------------
 
+def _max_residual(metric, y, xi_h):
+    return np.abs(geodesic_residual(metric, y, xi_h)).max()
+
+
 def test_solved_vector_is_geodesic(s7, finsler):
     for y in unit_m_samples(s7.space, 20, seed=149):
         result = solve_geodesic_graph(finsler, y)
-        check = is_geodesic_vector(finsler, result.y + result.xi)
-        assert check.passed
+        assert _max_residual(finsler, y, result.xi_h) <= geodesic_bound(
+            finsler, y)
 
 
 def test_offset_vector_is_not_geodesic(s7, finsler):
+    h1 = s7.algebra.basis_vector("H1")[s7.space.h_indices]
     for y in unit_m_samples(s7.space, 10, seed=151):
         result = solve_geodesic_graph(finsler, y)
-        w = result.y + result.xi + s7.algebra.basis_vector("H1")
-        assert not is_geodesic_vector(finsler, w).passed
-
-
-def test_geodesic_vector_check_scales_its_tolerance(s7, finsler):
-    from finslergo.geodesic import GEODESIC_VECTOR_TOL
-    y = unit_m_samples(s7.space, 1, seed=152)[0] * 3.0
-    result = solve_geodesic_graph(finsler, y)
-    check = is_geodesic_vector(finsler, result.y + result.xi)
-    scale = finsler.f_value(y) ** 2 * np.abs(s7.algebra.structure).max()
-    assert check.name == "geodesic_vector" and check.witness == ()
-    assert check.tol == GEODESIC_VECTOR_TOL * scale
-    assert check.worst == np.abs(geodesic_residual(finsler, y,
-                                                   result.xi_h)).max()
-    assert check.passed is True
+        assert _max_residual(finsler, y, result.xi_h + h1) > geodesic_bound(
+            finsler, y)
 
 
 def test_z1_with_w_multiple_is_geodesic(s7, round_metric):
-    alg = s7.algebra
+    alg, space = s7.algebra, s7.space
     c = round_metric.c_coefficients(alg.basis_vector("Z1")[:7])
     k3 = k_coefficients(c)[2]
     w = alg.basis_vector("Z1") + k3 * alg.basis_vector("W")
-    assert is_geodesic_vector(round_metric, w).passed
-
-
-def test_geodesic_vector_rejects_zero_m_part(s7, round_metric):
-    with pytest.raises(ValueError, match="zero m-part"):
-        is_geodesic_vector(round_metric, s7.algebra.basis_vector("H1"))
+    y = w[space.m_indices]
+    assert _max_residual(round_metric, y, w[space.h_indices]) \
+        <= geodesic_bound(round_metric, y)
 
 
 # -- equivariance ---------------------------------------------------------------
@@ -359,8 +348,7 @@ def test_non_geodesic_orbit_metric_is_reported_not_raised():
     assert result.residual_norm > 1.0
     report = go_property_scan(metric, 50, seed=19)
     assert report.max_residual > 0.1
-    check = is_geodesic_vector(metric, y)
-    assert not check.passed
+    assert _max_residual(metric, y, result.xi_h) > geodesic_bound(metric, y)
 
 
 def test_isotropic_metric_on_group_is_bi_invariant():

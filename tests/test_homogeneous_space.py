@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -112,6 +114,30 @@ def test_load_space_document_validates(s7):
     doc["alpha"][0] = [float(x) for x in np.eye(4).ravel()]
     doc["alpha"][2] = [1.0, 0.5, 0.0, 1.0]
     with pytest.raises(ValueError, match="alpha_symmetry"):
+        load_space_document(doc)
+
+
+def _set_bracket(doc, **fields):
+    doc["algebra"]["brackets"][0].update(fields)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: _set_bracket(doc, i=0.9, j=1.2),
+     "bracket i must be an integer, not 0.9"),
+    (lambda doc: doc["alpha"].__setitem__(1, ["1"]),
+     "alpha must be a number, not '1'"),
+    (lambda doc: doc.__setitem__("family_a", [[True, "2", 1]]),
+     "family_a must be a number, not True"),
+    (lambda doc: _set_bracket(doc, coeffs={"4": True}),
+     "bracket coefficient must be a number, not True"),
+    (lambda doc: doc["alpha"].append([1.0]),
+     "alpha must hold one Gram matrix per block")],
+    ids=["fractional index", "string alpha", "family types", "bool coefficient",
+         "extra alpha"])
+def test_space_document_refuses_wrong_types(s7, edit, message):
+    doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_space_document(doc)
 
 
