@@ -51,10 +51,14 @@ def _json_number(value, key: str, kind=float):
 
 
 def _json_array(value, key: str) -> np.ndarray:
-    """Float array of a JSON number or of nested lists of numbers."""
+    """Float array of a JSON number or of nested lists of numbers; ragged
+    lists raise ``ValueError`` naming ``key``."""
     if not isinstance(value, (list, tuple)):
         return np.asarray(_json_number(value, key))
-    return np.array([_json_array(v, key) for v in value], dtype=float)
+    items = [_json_array(v, key) for v in value]
+    if len({item.shape for item in items}) > 1:
+        raise ValueError(f"{key} is ragged: its lists differ in length")
+    return np.array(items, dtype=float)
 
 
 def _positive_tol(tol) -> float:
@@ -67,6 +71,19 @@ def _positive_tol(tol) -> float:
 def _all(mask) -> bool:
     """``mask.all()`` at a third of its call overhead on small arrays."""
     return np.count_nonzero(mask) == mask.size
+
+
+def _abs_row_max(x) -> np.ndarray:
+    """max |x[n]| of each row n of x[N, a] or x[N, a, b].
+
+    numpy reduces a short trailing axis row by row, so 16 or more rows are
+    reduced along the batch axis of a transposed copy: 6 us in place of
+    43 us for [1000, 7] on a 2-vCPU VM.  A max is exact, so the bits are
+    the same."""
+    n = len(x)
+    if n < 16:
+        return np.maximum.reduce(np.abs(x), axis=1 if x.ndim == 2 else (1, 2))
+    return np.maximum.reduce(np.abs(x.reshape(n, -1).T, order="C"))
 
 
 class _Record:
@@ -282,8 +299,13 @@ class LieAlgebra:
         for entry in doc.get("brackets", []):
             key = tuple(_json_number(entry[k], f"bracket {k}", int)
                         for k in "ij")
-            brackets[key] = {int(k): _json_number(v, "bracket coefficient")
-                             for k, v in entry["coeffs"].items()}
+            coeffs = brackets[key] = {}
+            for k, v in entry["coeffs"].items():
+                # JSON writes the index k as the key "k"
+                if isinstance(k, str) and k.removeprefix("-").isdecimal():
+                    k = int(k)
+                coeffs[_json_number(k, "bracket coeffs key", int)] = \
+                    _json_number(v, "bracket coefficient")
         return cls(labels, brackets)
 
     def __repr__(self) -> str:

@@ -25,7 +25,8 @@ from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
                        criterion_residuals, solve_batch,
                        solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
-from .lie_algebra import LieAlgebra, Vector, _positive_tol, _real, _Record
+from .lie_algebra import (LieAlgebra, Vector, _abs_row_max, _positive_tol,
+                          _real, _Record)
 
 M_LABELS = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3")
 H_LABELS = ("H1", "H2", "H3", "W")
@@ -252,8 +253,8 @@ def extended_matrix_deviation(Y, C) -> np.ndarray:
     full = np.concatenate([a_mat, b_vec[..., None]], axis=-1)
     scale = C[:, [0, 0, 0, 0, 2, 2], None]
     scaled = full[:, [0, 1, 2, 3, 5, 6]] / scale
-    return np.maximum(np.abs(full[:, 4]).max(axis=-1),
-                      np.abs(scaled - extended_matrix(Y, C)).max(axis=(1, 2)))
+    return np.maximum(_abs_row_max(full[:, 4]),
+                      _abs_row_max(scaled - extended_matrix(Y, C)))
 
 
 def _check_entry(worst, tol, **witness) -> dict:
@@ -347,9 +348,9 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     # riemannian_metric(space, c).c_coefficients(y) == c exactly, so the
     # weights go straight into the batched criterion
     xi = closed_form_xi(y, c)[:, space.h_indices]
-    residual = np.abs(criterion_residuals(space, y, c, xi)).max(axis=1)
+    residual = _abs_row_max(criterion_residuals(space, y, c, xi))
     sol = solve_batch(space, y, c)
-    mismatch = np.where(sol.unique, np.abs(sol.xi - xi).max(axis=1), -1.0)
+    mismatch = np.where(sol.unique, _abs_row_max(sol.xi - xi), -1.0)
     i_res, i_mis = int(np.argmax(residual)), int(np.argmax(mismatch))
     found = bool(sol.unique[i_mis])
     return ClosedFormReport(

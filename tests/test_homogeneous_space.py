@@ -131,9 +131,15 @@ def _set_bracket(doc, **fields):
     (lambda doc: _set_bracket(doc, coeffs={"4": True}),
      "bracket coefficient must be a number, not True"),
     (lambda doc: doc["alpha"].append([1.0]),
-     "alpha must hold one Gram matrix per block")],
+     "alpha must hold one Gram matrix per block"),
+    (lambda doc: doc.__setitem__("family_a", [[1.0, 1.0, 1.0], [2.0, 1.0]]),
+     "family_a is ragged: its lists differ in length"),
+    (lambda doc: doc["alpha"].__setitem__(2, [1.0, [0.0], 0.0, 1.0]),
+     "alpha is ragged: its lists differ in length"),
+    (lambda doc: _set_bracket(doc, coeffs={"1.0": 2.0}),
+     "bracket coeffs key must be an integer, not '1.0'")],
     ids=["fractional index", "string alpha", "family types", "bool coefficient",
-         "extra alpha"])
+         "extra alpha", "ragged family", "ragged alpha", "fractional key"])
 def test_space_document_refuses_wrong_types(s7, edit, message):
     doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
     edit(doc)

@@ -2,16 +2,20 @@
 QR, every other row by the stacked SVD that is kept here as the reference."""
 
 import json
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
-                       ReductiveSpace, assemble, check_equivariance_batch,
-                       closed_form_xi, criterion_residuals, geodesic,
-                       go_property_scan, l_function_from_spec,
-                       riemannian_metric, solve_batch, solve_geodesic_graph)
+                       ReductiveSpace, _shards, assemble, build_s7_space,
+                       check_equivariance_batch, closed_form_xi,
+                       criterion_residuals, geodesic, go_property_scan,
+                       l_function_from_spec, riemannian_metric, solve_batch,
+                       solve_geodesic_graph)
 from finslergo.geodesic import RANK_RCOND
 from conftest import SCALE_SPECS, embed
 
@@ -492,6 +496,176 @@ def test_non_finite_block_weights_are_rejected(s7, bad):
                                              np.zeros((3, 4)))):
         with pytest.raises(ValueError, match="block weights C must be finite"):
             call()
+
+
+# -- sharded solves -----------------------------------------------------------
+
+def _set_cpus(monkeypatch, n):
+    """An affinity mask of n CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def _shard_sizes(monkeypatch):
+    sizes = []
+    solve_rows = geodesic._solve_rows
+
+    def recorded(a_mat, b_vec):
+        sizes.append(len(a_mat))
+        return solve_rows(a_mat, b_vec)
+
+    monkeypatch.setattr(geodesic, "_solve_rows", recorded)
+    return sizes
+
+
+def _stratum_batch(rng):
+    """1024 rows: 256 mixed, 512 on the x = 0 stratum, 256 mixed, where the
+    mix holds generic, edge (|x|/|y| in 1e-12..1e-8) and on-stratum rows.
+    Two, three and four shards cut at 512, at 341 and 682, and at 256, 512
+    and 768: next to or among stratum rows."""
+    mix = np.concatenate([_draw(rng, 300, "generic"), _draw(rng, 160, "edge"),
+                          _draw(rng, 52, "on")])
+    mix = mix[rng.permutation(len(mix))]
+    return np.concatenate([mix[:256], _draw(rng, 512, "on"), mix[256:]])
+
+
+def test_sharded_batches_equal_the_serial_solve_bit_for_bit(s7, monkeypatch):
+    metric = _metrics(s7)["sq_sum"]
+    y = _stratum_batch(np.random.default_rng(425))
+    c = metric.c_coefficients(y)
+    h, t = np.random.default_rng(427).standard_normal((512, 4)), np.ones(512)
+    _set_cpus(monkeypatch, 1)
+    serial = solve_batch(s7.space, y, c)
+    serial_dev = check_equivariance_batch(metric, y[::2], h, t)
+    sizes = _shard_sizes(monkeypatch)
+    for cpus, shards in ((2, [512, 512]), (3, [341, 341, 342]),
+                         (4, [256] * 4)):
+        _set_cpus(monkeypatch, cpus)
+        svds = _counting(monkeypatch, "svd")
+        batch = solve_batch(s7.space, y, c)
+        assert sorted(sizes) == shards
+        for name in ("xi", "rank", "residual"):
+            assert getattr(batch, name).tobytes() == \
+                getattr(serial, name).tobytes()
+        # with four shards, the two of on-stratum rows take the SVD alone
+        assert svds.count((256, 7, 4)) == (2 if cpus == 4 else 0)
+        del sizes[:]
+        dev = check_equivariance_batch(metric, y[::2], h, t)
+        assert sorted(sizes) == shards
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(dev, serial_dev))
+        del sizes[:]
+    _assert_rows_are_one_vector_results(metric, y)  # four shards, per row
+
+
+def test_a_failing_row_in_a_later_shard_raises_as_the_serial_solve(
+        s7, monkeypatch, capfd):
+    # the causes of the cases above; the last row's system is finite, and
+    # its QR overflows to NaN, so it raises after the shards are joined
+    rng = np.random.default_rng(429)
+    y, h, t = _draw(rng, 512, "generic"), np.ones((512, 4)), np.ones(512)
+    family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]])
+    qr_overflow = 1.473e154 * np.array([0.47775212, 0.39836821, 0.19108983,
+                                        -0.66482447, 0.01569774, 0.20627605,
+                                        0.30290684])
+
+    def equivariance(spec, bad):
+        metric = FinslerMetric(family, l_function_from_spec(spec))
+        rows = y.copy()
+        rows[300] = bad  # transported, row 812 of the solve
+        return lambda: check_equivariance_batch(metric, rows, h, t)
+
+    def batch(bad, c):
+        rows, weights = np.vstack([y, y]), np.ones((1024, 3))
+        rows[700], weights[700] = bad, c
+        return lambda: solve_batch(s7.space, rows, weights)
+
+    norm = "the squared norm of y overflows or underflows"
+    for call, cause in (
+            (equivariance("sq_sum:1,3", 1e200 * _QUICK_Y), norm),
+            (equivariance("sq_sum:1,3", 1e-200 * _QUICK_Y), norm),
+            (equivariance("sq_sum:1e160,1", _QUICK_Y),
+             "the combiner's gradient overflows"),
+            (batch(1e200 * _QUICK_Y, [1.0, 1.0, 1.0]), norm),
+            (batch(qr_overflow, [1.0, 0.7, 1.7]), norm)):
+        messages = []
+        for cpus in (1, 2):
+            _set_cpus(monkeypatch, cpus)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(np.linalg.LinAlgError) as info:
+                    call()
+            messages.append(str(info.value))
+        assert messages == [f"the criterion system is not finite: {cause}"] * 2
+    out, err = capfd.readouterr()
+    assert out + err == ""
+
+
+def test_shards_no_thread_has_started_are_solved_by_the_caller(s7,
+                                                                monkeypatch):
+    # a pool whose threads never start: on a machine whose other CPUs are
+    # busy, the caller takes every shard, and the bits stay the same
+    class Stalled:
+        def submit(self, fn, *args):
+            return Future()
+
+    y = _stratum_batch(np.random.default_rng(435))
+    c = np.ones((1024, 3))
+    _set_cpus(monkeypatch, 1)
+    serial = solve_batch(s7.space, y, c)
+    _set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(_shards, "_executor", Stalled)
+    sizes = _shard_sizes(monkeypatch)
+    batch = solve_batch(s7.space, y, c)
+    assert sizes == [256] * 4
+    for name in ("xi", "rank", "residual"):
+        assert getattr(batch, name).tobytes() == getattr(serial, name).tobytes()
+
+
+def test_no_pool_is_built_for_one_cpu_or_a_small_batch(s7, monkeypatch):
+    monkeypatch.setattr(_shards, "_pool", None)
+    y = _draw(np.random.default_rng(431), 1024, "generic")
+    c = np.ones((1024, 3))
+    _set_cpus(monkeypatch, 1)
+    solve_batch(s7.space, y, c)
+    _set_cpus(monkeypatch, 4)
+    solve_batch(s7.space, y[:511], c[:511])
+    assert _shards._pool is None
+    solve_batch(s7.space, y[:512], c[:512])
+    assert _shards._pool[0] == os.getpid()
+    _shards._pool[1].shutdown()
+
+
+def _solve_and_send(conn, y, c):
+    xi = solve_batch(build_s7_space().space, y, c).xi
+    conn.send((xi.tobytes(), _shards._pool[0] == os.getpid()))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_forked_child_solves_on_its_own_pool(s7, monkeypatch):
+    # a pool inherited through fork counts its parent's idle thread, so its
+    # submit queues work that no thread of the child ever starts, and the
+    # child would solve every shard on one thread
+    _set_cpus(monkeypatch, 2)
+    y = _draw(np.random.default_rng(433), 1000, "generic")
+    c = np.ones((1000, 3))
+    xi = solve_batch(s7.space, y, c).xi
+    assert _shards._pool[0] == os.getpid()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_solve_and_send, args=(sender, y, c))
+    child.start()
+    sender.close()
+    try:
+        assert receiver.poll(30), "the child's solve did not finish in 30 s"
+        assert receiver.recv() == (xi.tobytes(), True)
+    finally:
+        receiver.close()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
 
 
 # -- the scan draws -----------------------------------------------------------
