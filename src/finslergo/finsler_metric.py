@@ -25,7 +25,8 @@ from functools import partial
 import numpy as np
 
 from .homogeneous_space import MetricFamily
-from .lie_algebra import Check, Report, Vector, _all, _json_array, _real
+from .lie_algebra import (Check, Report, Vector, _all, _count, _json_array,
+                          _real)
 
 GRAD_CHECK_TOL = 1e-6
 HOMOGENEITY_TOL = 1e-10
@@ -207,8 +208,7 @@ def validate_l(lf: LFunction, sample_count: int = 200,
     their tol, or among all samples when none fails, and its tol is that
     sample's.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    sample_count = _count(sample_count, "sample_count")
     rng = np.random.default_rng(seed)
     k = lf.arity
     points = rng.uniform(0.05, 3.0, size=(sample_count, k))

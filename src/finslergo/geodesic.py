@@ -25,8 +25,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .finsler_metric import _GRADIENT_OVERFLOW, _NORM_OVERFLOW, FinslerMetric
-from .lie_algebra import (Vector, _abs_row_max, _all, _real, _Record,
-                          matrix_exponential)
+from .lie_algebra import (Vector, _abs_row_max, _all, _count, _real,
+                          _Record, matrix_exponential)
 
 RANK_RCOND = 1e-10
 # Fewest rows a shard of a large batch takes (see ``_shards``).  On a 2-vCPU
@@ -372,8 +372,7 @@ def go_property_scan(metric: FinslerMetric, n_samples: int,
     norm (normalized Gaussian draws); the induced weights are scale
     invariant, so the sphere is a complete test set.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _count(n_samples, "n_samples")
     space = metric.space
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, space.dim_m))

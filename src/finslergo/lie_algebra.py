@@ -61,6 +61,16 @@ def _json_array(value, key: str) -> np.ndarray:
     return np.array(items, dtype=float)
 
 
+def _count(value, key: str) -> int:
+    """A sample count: a Python or numpy integer of at least 1, else
+    ``ValueError`` naming ``key``; a bool, float, str or None is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{key} must be at least 1")
+    return int(value)
+
+
 def _positive_tol(tol) -> float:
     """tol, or ``ValueError`` where it is NaN or not above zero."""
     if not tol > 0:

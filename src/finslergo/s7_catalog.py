@@ -21,12 +21,12 @@ from functools import lru_cache
 import numpy as np
 
 from .finsler_metric import FinslerMetric, LFunction
-from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
-                       criterion_residuals, solve_batch,
+from .geodesic import (MatrixRealization, _criterion, _pass, _rows, _solve,
+                       check_equivariance_batch,
                        solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
-from .lie_algebra import (LieAlgebra, Vector, _abs_row_max, _positive_tol,
-                          _real, _Record)
+from .lie_algebra import (LieAlgebra, Vector, _abs_row_max, _count,
+                          _positive_tol, _real, _Record)
 
 M_LABELS = ("X1", "X2", "X3", "X4", "Z1", "Z2", "Z3")
 H_LABELS = ("H1", "H2", "H3", "W")
@@ -168,7 +168,12 @@ def k_coefficients(c):
 
     A batch ``c[N, 3]`` gives arrays over the rows.
     """
-    c1, c2, c3 = _positive_triple(c).T
+    return _k(_positive_triple(c))
+
+
+def _k(c):
+    """:func:`k_coefficients` of checked weights."""
+    c1, c2, c3 = c.T
     return c2 / c3 - 2.0 * c2 / c1, 1.0 - 2.0 * c3 / c1, c2 / c3 - 1.0
 
 
@@ -182,8 +187,8 @@ def _positive_triple(c) -> Vector:
 
 
 def _components(y):
-    """The seven m-coordinates x1..x4, z1..z3 of y or of each row of y."""
-    return build_s7_space().space.coerce_m(y, allow_zero=True).T
+    """The checked m-coordinates x1..x4, z1..z3 of y or of each row of y."""
+    return build_s7_space().space.coerce_m(y, allow_zero=True)
 
 
 def closed_form_xi(y, c) -> Vector:
@@ -194,8 +199,13 @@ def closed_form_xi(y, c) -> Vector:
     applies.  Returns the full 11-vector supported on the isotropy basis;
     rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 11]``.
     """
-    x1, x2, x3, x4, z1, z2, z3 = _components(y)
-    k1, k2, k3 = k_coefficients(c)
+    return _closed_form(_components(y), _positive_triple(c))
+
+
+def _closed_form(ym, c) -> Vector:
+    """:func:`closed_form_xi` of checked m-coordinates and weights."""
+    x1, x2, x3, x4, z1, z2, z3 = ym.T
+    k1, k2, k3 = _k(c)
     nx = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
     on_stratum = nx == 0.0
     nx = np.where(on_stratum, 1.0, nx)
@@ -215,6 +225,12 @@ def closed_form_xi(y, c) -> Vector:
     return out
 
 
+# Columns 0..3 of the display's X rows 0..3: entry (r, k) is x_j with
+# j = |_X_BLOCK[r, k]|, negated where _X_BLOCK[r, k] < 0
+_X_BLOCK = np.array([[2, 3, 4, -2], [-1, -4, 3, 1], [4, -1, -2, 4],
+                     [-3, 2, -1, -3]])
+
+
 def extended_matrix(y, c) -> np.ndarray:
     """The displayed 6 x 5 augmented system for weights c at base vector y.
 
@@ -223,22 +239,26 @@ def extended_matrix(y, c) -> np.ndarray:
     Columns are the four isotropy components followed by the right-hand side.
     Rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 6, 5]``.
     """
-    x1, x2, x3, x4, z1, z2, z3 = _components(y)
-    c1, c2, c3 = _positive_triple(c).T
+    return _display(_components(y), _positive_triple(c))
+
+
+def _display(ym, c) -> np.ndarray:
+    """:func:`extended_matrix` of checked m-coordinates and weights, filled
+    into one array."""
+    x1, x2, x3, x4, z1, z2, z3 = ym.T
+    c1, c2, c3 = c.T
     r21, r31, r23 = c2 / c1, c3 / c1, c2 / c3
     p = 1.0 - 2.0 * r21
     q = 1.0 - 2.0 * r31
-    zero = np.zeros_like(z1)
-    rows = [
-        [x2, x3, x4, -x2, p * z1 * x2 + q * (z2 * x3 + z3 * x4)],
-        [-x1, -x4, x3, x1, -p * z1 * x1 + q * (z2 * x4 - z3 * x3)],
-        [x4, -x1, -x2, x4, -p * z1 * x4 + q * (-z2 * x1 + z3 * x2)],
-        [-x3, x2, -x1, -x3, p * z1 * x3 - q * (z2 * x2 + z3 * x1)],
-        [zero, zero, zero, 2.0 * z3, 2.0 * z1 * z3 * (r23 - 1.0)],
-        [zero, zero, zero, -2.0 * z2, 2.0 * z1 * z2 * (1.0 - r23)],
-    ]
-    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
-                     for row in rows], axis=-2)
+    out = np.zeros(np.broadcast_shapes(ym.shape[:-1], c.shape[:-1]) + (6, 5))
+    out[..., :4, :4] = ym[..., np.abs(_X_BLOCK) - 1] * np.sign(_X_BLOCK)
+    out[..., 0, 4] = p * z1 * x2 + q * (z2 * x3 + z3 * x4)
+    out[..., 1, 4] = -p * z1 * x1 + q * (z2 * x4 - z3 * x3)
+    out[..., 2, 4] = -p * z1 * x4 + q * (-z2 * x1 + z3 * x2)
+    out[..., 3, 4] = p * z1 * x3 - q * (z2 * x2 + z3 * x1)
+    out[..., 4, 3], out[..., 4, 4] = 2.0 * z3, 2.0 * z1 * z3 * (r23 - 1.0)
+    out[..., 5, 3], out[..., 5, 4] = -2.0 * z2, 2.0 * z1 * z2 * (1.0 - r23)
+    return out
 
 
 def extended_matrix_deviation(Y, C) -> np.ndarray:
@@ -248,13 +268,15 @@ def extended_matrix_deviation(Y, C) -> np.ndarray:
     Also includes the magnitude of the assembled Z1 row, which the display
     omits because it vanishes identically.
     """
-    C = _positive_triple(C)
-    a_mat, b_vec = assemble(build_s7_space().space, Y, C)
+    space = build_s7_space().space
+    Y, C = _rows(space, Y, _positive_triple(C))
+    with np.errstate(all="ignore"):
+        a_mat, b_vec = _pass(space, Y, C)
     full = np.concatenate([a_mat, b_vec[..., None]], axis=-1)
     scale = C[:, [0, 0, 0, 0, 2, 2], None]
     scaled = full[:, [0, 1, 2, 3, 5, 6]] / scale
     return np.maximum(_abs_row_max(full[:, 4]),
-                      _abs_row_max(scaled - extended_matrix(Y, C)))
+                      _abs_row_max(scaled - _display(Y, C)))
 
 
 def _check_entry(worst, tol, **witness) -> dict:
@@ -265,18 +287,18 @@ def _check_entry(worst, tol, **witness) -> dict:
 
 
 def _sweep_rng(n_samples: int, seed: int, tol):
-    """The generator of an oracle sweep, once n_samples and tol are checked."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    """n_samples as an int and the generator of an oracle sweep, once
+    n_samples and tol are checked."""
+    n_samples = _count(n_samples, "n_samples")
     _positive_tol(tol)
-    return np.random.default_rng(seed)
+    return n_samples, np.random.default_rng(seed)
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over the base vectors
     ``y = rng.standard_normal((n, 7))`` and then the weights
     ``c = rng.uniform(0.25, 4.0, (n, 3))`` of ``rng = default_rng(seed)``."""
-    rng = _sweep_rng(n_samples, seed, tol)
+    n_samples, rng = _sweep_rng(n_samples, seed, tol)
     y = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
     dev = extended_matrix_deviation(y, c)
@@ -301,7 +323,7 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     ``v = rng.standard_normal((n, 7))``, ``h = rng.standard_normal((n, 4))``
     and ``t = rng.uniform(-1.0, 1.0, n)``, in that order; y is v at unit norm.
     """
-    rng = _sweep_rng(n_samples, seed, tol)
+    n_samples, rng = _sweep_rng(n_samples, seed, tol)
     metric = _equivariance_metric()
     v = rng.standard_normal((n_samples, 7))
     h = rng.standard_normal((n_samples, 4))
@@ -340,23 +362,25 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     For each pair the closed form must satisfy the criterion within tol,
     and match the minimal-norm solver wherever it reports a unique solution.
     """
-    rng = _sweep_rng(n_samples, seed, tol)
+    n_samples, rng = _sweep_rng(n_samples, seed, tol)
     space = build_s7_space().space
     v = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
-    y = v / space.alpha_norm(v)[:, None]
+    y, c = _rows(space, v / space.alpha_norm(v)[:, None], c)
     # riemannian_metric(space, c).c_coefficients(y) == c exactly, so the
-    # weights go straight into the batched criterion
-    xi = closed_form_xi(y, c)[:, space.h_indices]
-    residual = _abs_row_max(criterion_residuals(space, y, c, xi))
-    sol = solve_batch(space, y, c)
-    mismatch = np.where(sol.unique, _abs_row_max(sol.xi - xi), -1.0)
+    # weights go straight into the batched criterion; the draws are checked
+    # once, here, and every step below takes them as they are
+    xi = _closed_form(y, c)[:, space.h_indices]
+    residual = _abs_row_max(_criterion(space, y, c, xi))
+    solved, rank = _solve(space, y, c)[:2]
+    unique = rank == space.dim_h
+    mismatch = np.where(unique, _abs_row_max(solved - xi), -1.0)
     i_res, i_mis = int(np.argmax(residual)), int(np.argmax(mismatch))
-    found = bool(sol.unique[i_mis])
+    found = bool(unique[i_mis])
     return ClosedFormReport(
         n_samples=n_samples, tol=tol, max_residual=float(residual[i_res]),
         worst_residual_y=y[i_res], worst_residual_c=c[i_res],
         max_mismatch=max(float(mismatch[i_mis]), 0.0),
         worst_mismatch_y=y[i_mis] if found else np.zeros(7),
         worst_mismatch_c=c[i_mis] if found else np.ones(3),
-        n_unique=int(sol.unique.sum()))
+        n_unique=int(unique.sum()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -255,6 +256,57 @@ def test_verify_s7_impossible_tolerance_fails(capsys):
                        "--tol", "1e-15")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+# sha256 of the stdout of `verify-s7 --seed S` for S = 0..15, recorded before
+# the oracle sweeps were made to check their draws once, which left them
+# unchanged; the solve is pinned bit for bit, so bytes that move mean a
+# result moved
+VERIFY_S7_SHA256 = [
+    "966da7abf57728678833707e017d73e001c8f566fcfdb9a2ffa58d797e44e335",
+    "8ee7c29438897fd0141c691e90ccfc3c8366cb1f1674c4eb6ecc5829c7a52f7c",
+    "38dd0cbcfac3d052f70c58a00749ec90c7efe31f0a767fa6e6909f9f9835101c",
+    "8ed016afc1a660307990546eae246bed77a69b621dfc9559468cbe1e27432de8",
+    "3381f13ed0ad6b8706e7f6e919a3827c909d8fc17ff0f5e9cb52e14a014c22f1",
+    "7efba1ff8b1b3b0e65bf5a72a8997a7a0a1ade04271f4cf3f6528452ff512f74",
+    "4400b5f4fac2057f3ebda8e4182b711546bb339ecdaf973ee8e3ef0fd61dfaa0",
+    "1443e8a52ba4bfc619ce68c8954fd63f30259f12a3e763cd592cfd52b7322ad2",
+    "f8e1e991e6ba2b021d2621ca9403797049cf6179199fcf0e8c23ecc7103c03ad",
+    "ca26205195bc97456a71d44b4f461cd897f0d7c6c61e34f6e33a93c3fb2953f1",
+    "1a3845bee13ef9959e217324890706036a7f326c5fdd77f9f13c15c3e57d5fb7",
+    "53974f899be2a08c4041389f161b1383d0ccd1355b6d0a6edfb73b1082c1b0fc",
+    "62b4f0b22569336cde97fea05801b2973b661546b1ca8772b446b1555740a5b8",
+    "165ebd1bf1d488630ed21f3a95d934c4e79ada4e1ef380363625d5f42cb599f9",
+    "d01dc61c53097114b7baea79d6053d761d761ae9b550505a88aae7383bcc5706",
+    "8197011a2b9656afc0a75e0b547fd6886e09a19461cda25f7929155f9c741c1a",
+]
+VERIFY_S7_100_SHA256 = [
+    "acb3b2eb23ab5953cd0593dbb5c3148abd4a19db133dac39099a9511a1df68c6",
+    "e5a24140a4368723c1b62edb831a4d1eab1f0df6c6530bfd82aafd1c24d986e8",
+    "db019dfd8416cf17d6523124255cb8b6ddf1b615511b919c796a5735d7d462fb",
+    "d1e462a6438f39e95a3bd3a56253f934994fd1042f91bb0bc654d524e00b1241",
+    "8f14953b593b877a4d12e2b957c1f99fcc9813ec62392b2167782ae6d9660596",
+    "adc8b7cb4a54232ae7a51c2604c44d6e864ef9a68174b13c91472ee7d59a77da",
+    "18365f2094c908542fb6bd9a7e54c7acb67b691bf2ef01993d7465dd88919969",
+    "72c669b4baa7dd649ad9232b8bcb01ab1c3ef6bfb410dc9160b5ad4681af7a9d",
+    "327075c5dfc7627d2caee9a1399a0236f4de2aadd69c5201da8b3b3305d3e8a6",
+    "9e1415cde39a46460240c497e4f7f17b36705e7d8cb125dcd764f4d56c5e1e24",
+    "f09b2ac223c810cbab5a0808414b9c1cda7addcb3dfd6c85a47b59255d4f08e7",
+    "1dcd470b56b44eacd25579488a77b7dce2e6e0998661d481ef207cf49af716e4",
+    "b78270c9e6cb391a2dc07c3a6e0eb9f048ca4d2b4a5fe6fe6d71c78638347909",
+    "43ad1d58673962c56b5b4f3886773c7dd9984183acfa6438dbdffd74dfb9c2e6",
+    "820aec1c823443df42ed36dc5e8bfec7ad6207a07738b0ac53aa0bb8da2e3518",
+    "4d68bf41db31338bbee68bb8e04a489f30637d54d81217ad161338e5336d0996",
+]
+
+
+@pytest.mark.parametrize("samples, digests", [
+    ([], VERIFY_S7_SHA256), (["--samples", "100"], VERIFY_S7_100_SHA256)])
+def test_verify_s7_prints_its_recorded_bytes_for_seeds_0_to_15(
+        capsys, samples, digests):
+    for seed, digest in enumerate(digests):
+        code, out, _ = run(capsys, "verify-s7", "--seed", str(seed), *samples)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
 # -- orbit -------------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
-                       ReductiveSpace, build_s7_space, closed_form_xi,
-                       extended_matrix, geodesic_residual, k_coefficients,
+                       ReductiveSpace, assemble, build_s7_space,
+                       closed_form_xi, criterion_residuals, extended_matrix,
+                       geodesic_residual, go_property_scan, k_coefficients,
                        load_space_document, riemannian_metric, solve_batch,
-                       solve_geodesic_graph, verify_closed_form)
+                       solve_geodesic_graph, validate_l, verify_closed_form)
 from finslergo.s7_catalog import (_complex_basis, ad_pattern_deviation,
                                   check_equivariance_sweep,
                                   extended_matrix_deviation,
@@ -309,6 +310,38 @@ def test_oracle_checks_reject_zero_samples_by_name(check):
         check(0, 0, 1e-8)
 
 
+# every entry point that draws samples, called with a sample count n
+COUNTED = {
+    "go_property_scan": lambda m, n: go_property_scan(m, n, 0),
+    "validate_l": lambda m, n: validate_l(LFunction.squared_sum([1.0, 3.0]),
+                                          n),
+    "verify_closed_form": lambda m, n: verify_closed_form(n, 0),
+    "extended_matrix_sweep": lambda m, n: extended_matrix_sweep(n, 0, 1e-12),
+    "check_equivariance_sweep":
+        lambda m, n: check_equivariance_sweep(n, 0, 1e-8),
+}
+COUNT_NAMES = {"validate_l": "sample_count"}
+
+
+@pytest.mark.parametrize("bad", [True, False, 10.5, 3.0, "3", None])
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+def test_a_sample_count_that_is_no_integer_is_refused_by_name(
+        round_metric, entry, bad):
+    # these used to run (True), fail inside numpy with a TypeError (10.5,
+    # "3", None) or say "at least 1" (False)
+    name = COUNT_NAMES.get(entry, "n_samples")
+    with pytest.raises(ValueError, match=f"{name} must be an integer, not"):
+        COUNTED[entry](round_metric, bad)
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+def test_numpy_integer_sample_counts_are_taken_as_ints(round_metric, entry):
+    expect = COUNTED[entry](round_metric, 5)
+    for n in (np.int64(5), np.int32(5), np.uint8(5)):
+        got = COUNTED[entry](round_metric, n)
+        assert repr(got) == repr(expect)
+
+
 def test_closed_form_solves_finsler_systems_too(s7):
     # weights induced by a genuinely composite norm, not constants
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [0.5, 2.0, 1.0]])
@@ -367,7 +400,8 @@ def test_draws_equal_the_documented_bulk_calls(s7, monkeypatch):
             return real(*args)
         monkeypatch.setattr(s7_catalog, name, recorded)
 
-    for name in ("extended_matrix_deviation", "solve_batch",
+    # verify_closed_form checks its draws once and solves them by _solve
+    for name in ("extended_matrix_deviation", "_solve",
                  "check_equivariance_batch"):
         record(name)
     for seed in range(100):
@@ -379,7 +413,7 @@ def test_draws_equal_the_documented_bulk_calls(s7, monkeypatch):
         v, h, t = _reference_v_h_t(seed, 20)
         for got, expect in [
                 *zip(seen["extended_matrix_deviation"], (y, c)),
-                *zip(seen["solve_batch"][1:],
+                *zip(seen["_solve"][1:],
                      (u / s7.space.alpha_norm(u)[:, None], c_cf)),
                 *zip(seen["check_equivariance_batch"][1:],
                      (v / s7.space.alpha_norm(v)[:, None], h, t))]:
@@ -395,6 +429,86 @@ def test_equivariance_witness_is_a_row_of_the_documented_draws(s7):
     i = np.flatnonzero((h == out["witness_h"]).all(axis=1))
     assert len(i) == 1 and t[i[0]] == out["witness_t"]
     assert np.array_equal(out["witness_y"], y[i[0]])
+
+
+# -- the sweeps equal the composition of their public steps -------------------------
+#
+# verify_closed_form and extended_matrix_sweep check their draws once and run
+# private unchecked steps; the references below are the same sweeps written
+# out with the public, checking entry points and the stacked display, and
+# every field must be equal, witnesses included.
+
+def _reference_display(y, c):
+    """extended_matrix as 30 broadcast entries stacked row by row."""
+    x1, x2, x3, x4, z1, z2, z3 = y.T
+    c1, c2, c3 = c.T
+    r21, r31, r23 = c2 / c1, c3 / c1, c2 / c3
+    p = 1.0 - 2.0 * r21
+    q = 1.0 - 2.0 * r31
+    zero = np.zeros_like(z1)
+    rows = [
+        [x2, x3, x4, -x2, p * z1 * x2 + q * (z2 * x3 + z3 * x4)],
+        [-x1, -x4, x3, x1, -p * z1 * x1 + q * (z2 * x4 - z3 * x3)],
+        [x4, -x1, -x2, x4, -p * z1 * x4 + q * (-z2 * x1 + z3 * x2)],
+        [-x3, x2, -x1, -x3, p * z1 * x3 - q * (z2 * x2 + z3 * x1)],
+        [zero, zero, zero, 2.0 * z3, 2.0 * z1 * z3 * (r23 - 1.0)],
+        [zero, zero, zero, -2.0 * z2, 2.0 * z1 * z2 * (1.0 - r23)],
+    ]
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
+                     for row in rows], axis=-2)
+
+
+def _reference_extended_sweep(s7, n, seed, tol):
+    y, c = _reference_y_c(seed, n)
+    a_mat, b_vec = assemble(s7.space, y, c)
+    full = np.concatenate([a_mat, b_vec[..., None]], axis=-1)
+    scaled = full[:, [0, 1, 2, 3, 5, 6]] / c[:, [0, 0, 0, 0, 2, 2], None]
+    display = _reference_display(y, c)
+    dev = np.maximum(np.abs(full[:, 4]).max(axis=1),
+                     np.abs(scaled - display).max(axis=(1, 2)))
+    i = int(np.argmax(dev))
+    return {"passed": bool(dev[i] <= tol), "worst": float(dev[i]), "tol": tol,
+            "witness_y": y[i].tolist(), "witness_c": c[i].tolist()}
+
+
+def _reference_verify(s7, n, seed, tol):
+    space = s7.space
+    v, c = _reference_y_c(seed, n)
+    y = v / space.alpha_norm(v)[:, None]
+    xi = closed_form_xi(y, c)[:, space.h_indices]
+    residual = np.abs(criterion_residuals(space, y, c, xi)).max(axis=1)
+    sol = solve_batch(space, y, c)
+    mismatch = np.where(sol.unique, np.abs(sol.xi - xi).max(axis=1), -1.0)
+    i_res, i_mis = int(np.argmax(residual)), int(np.argmax(mismatch))
+    found = bool(sol.unique[i_mis])
+    return dict(
+        n_samples=n, tol=tol, max_residual=float(residual[i_res]),
+        worst_residual_y=y[i_res], worst_residual_c=c[i_res],
+        max_mismatch=max(float(mismatch[i_mis]), 0.0),
+        worst_mismatch_y=y[i_mis] if found else np.zeros(7),
+        worst_mismatch_c=c[i_mis] if found else np.ones(3),
+        n_unique=int(sol.unique.sum()))
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_sweeps_equal_their_public_composition(s7, n):
+    for seed in range(100):
+        assert (extended_matrix_sweep(n, seed, 1e-12)
+                == _reference_extended_sweep(s7, n, seed, 1e-12))
+        report = verify_closed_form(n, seed, 1e-8)
+        for field, expect in _reference_verify(s7, n, seed, 1e-8).items():
+            got = getattr(report, field)
+            assert type(got) is type(expect) and np.array_equal(got, expect)
+
+
+def test_display_equals_the_stacked_entries_bit_for_bit(s7):
+    y, c = _reference_y_c(61, 50)
+    y[:5, :4] = 0.0  # on the x = 0 stratum
+    y[5:10, 5:] = 0.0  # on z2 = z3 = 0
+    for yy, cc in ((y, c), (y[0], c), (y, c[0]), (y[7], c[7])):
+        got = extended_matrix(yy, cc)
+        expect = _reference_display(yy, np.asarray(cc))
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
 
 
 # -- export round trip --------------------------------------------------------------------
