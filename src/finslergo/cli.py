@@ -170,11 +170,12 @@ def _load_setup(cfg: argparse.Namespace):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """text and one newline, to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text + "\n")
     else:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
 
 
 # -- commands -------------------------------------------------------------
@@ -228,7 +229,7 @@ def cmd_scan(cfg: argparse.Namespace) -> int:
                "passed": report.max_residual < tol}
         _emit(json.dumps(doc, indent=2), cfg.out)
     else:
-        _emit("\n".join(report.to_csv_lines()) + "\n", cfg.out)
+        _emit("\n".join(report.to_csv_lines()), cfg.out)
     return EXIT_OK if report.max_residual < tol else EXIT_MATH_FAIL
 
 
@@ -283,7 +284,7 @@ def cmd_orbit(cfg: argparse.Namespace) -> int:
         lines = [",".join(["t", *(f"p{i}" for i in range(points.shape[1]))])]
         lines += [",".join(map(float_repr, [t, *row]))
                   for t, row in zip(t_values, points)]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines), cfg.out)
     return EXIT_OK if norms_ok else EXIT_MATH_FAIL
 
 
@@ -328,7 +329,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         return _COMMANDS[args.command][0](cfg)
-    except (ValueError, KeyError, TypeError) as exc:
+    # a count too large to allocate is bad input, not a failed check
+    except (ValueError, KeyError, TypeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

@@ -19,6 +19,7 @@ the equivariance of the solved map over random draws.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -29,11 +30,12 @@ from .lie_algebra import (Vector, _abs_row_max, _all, _count, _real,
                           _Record, matrix_exponential)
 
 RANK_RCOND = 1e-10
-# Fewest rows a shard of a large batch takes (see ``_shards``).  On a 2-vCPU
-# VM an idle pool thread starts a task 0.16 ms after it is submitted
-# (median; 0.31 ms at p99), and 100 rows solve in about 0.11 ms, so the
-# 200-row batches of verify-s7's equivariance sweep stay on one thread.
+# Fewest rows a shard of a large batch takes (the rule is in :func:`_solve`).
+# On a 2-vCPU VM an idle pool thread starts a task 0.16 ms after it is
+# submitted (median; 0.31 ms at p99), and 100 rows solve in about 0.11 ms,
+# so the 200-row batches of verify-s7's equivariance sweep stay on one thread.
 _SHARD_ROWS = 256
+_pool = None  # (pid, executor) of this process, built on first use
 
 
 def float_repr(x) -> str:
@@ -229,16 +231,30 @@ def _solve(space, Y, C=None, metric=None):
     """The numerical core: ``(xi, rank, residual, a_mat)`` of checked rows,
     with C from ``metric`` or as given, under one ``np.errstate``.
 
-    The pass, and so the combiner, runs on the calling thread; a batch of
-    2 * _SHARD_ROWS rows or more is then solved by
-    :func:`finslergo._shards.solve_shards`."""
+    The pass, and so the combiner, runs on the calling thread.  The systems
+    are then solved in k = min(CPUs in the affinity mask, or all CPUs where
+    the platform has none, N // _SHARD_ROWS) contiguous shards, serially
+    when k < 2: the caller solves the first shard and every shard that no
+    pool thread has started by then.  Every row gives the same bits alone
+    as in any batch, so the joined shards give the bits of a serial solve."""
+    n, k = len(Y), 1
+    if n >= 2 * _SHARD_ROWS:  # a batch of one never reads the mask
+        mask = getattr(os, "sched_getaffinity", None)
+        k = min(len(mask(0)) if mask else os.cpu_count() or 1,
+                n // _SHARD_ROWS)
     with np.errstate(all="ignore"):
         a_mat, b_vec = _pass(space, Y, C, metric)
-        if len(Y) < 2 * _SHARD_ROWS:
+        if k < 2:
             xi, rank, residual = _solve_rows(a_mat, b_vec)
         else:
-            from ._shards import solve_shards
-            xi, rank, residual = solve_shards(a_mat, b_vec)
+            cut = [n * i // k for i in range(k + 1)]
+            shards = [(a_mat[lo:hi], b_vec[lo:hi])
+                      for lo, hi in zip(cut, cut[1:])]
+            pool = _executor()
+            rest = [(s, pool.submit(_solve_quietly, *s)) for s in shards[1:]]
+            parts = [_solve_rows(*shards[0])] + [
+                _solve_rows(*s) if f.cancel() else f.result() for s, f in rest]
+            xi, rank, residual = map(np.concatenate, zip(*parts))
     if not _all(np.isfinite(residual)):
         raise np.linalg.LinAlgError(_NORM_OVERFLOW)
     return xi, rank, residual, a_mat
@@ -248,6 +264,23 @@ def _solve_rows(a_mat, b_vec):
     """xi, rank and the residual max |A xi - b| of finite systems."""
     xi, rank = _min_norm_solve(a_mat, b_vec)
     return xi, rank, _abs_row_max((a_mat @ xi[..., None])[..., 0] - b_vec)
+
+
+def _solve_quietly(a_mat, b_vec):
+    with np.errstate(all="ignore"):  # a pool thread has numpy's defaults
+        return _solve_rows(a_mat, b_vec)
+
+
+def _executor():
+    """The thread pool of this process, built again in a forked child: a
+    pool inherited through fork has no threads, so no work given to it
+    would ever start.  A process that solves no batch of 2 * _SHARD_ROWS
+    rows never imports ``concurrent.futures`` (3.7 ms on a 2-vCPU VM)."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = os.getpid(), ThreadPoolExecutor()
+    return _pool[1]
 
 
 # -- one base vector -----------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_algebra import (Check, LieAlgebra, Report, Vector, _all,
-                          _json_array, _real)
+                          _json_array, _json_keys, _real)
 
 STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
@@ -230,12 +230,13 @@ class ReductiveSpace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReductiveSpace":
         alg = LieAlgebra.from_json_dict(doc["algebra"])
-        blocks, alpha = doc["m_blocks"], doc["alpha"]
+        blocks = [_json_keys(blk, "m_blocks") for blk in doc["m_blocks"]]
+        alpha = doc["alpha"]
         if len(alpha) != len(blocks):
             raise ValueError("alpha must hold one Gram matrix per block")
         alpha = [_json_array(flat, "alpha").reshape(len(blk), len(blk))
                  for flat, blk in zip(alpha, blocks)]
-        return cls(alg, doc["h"], blocks, alpha)
+        return cls(alg, _json_keys(doc["h"], "h"), blocks, alpha)
 
     def __repr__(self) -> str:
         return (f"ReductiveSpace(dim={self.dim}, h={self.h_labels()}, "

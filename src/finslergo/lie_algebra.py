@@ -61,6 +61,15 @@ def _json_array(value, key: str) -> np.ndarray:
     return np.array(items, dtype=float)
 
 
+def _json_keys(value, key: str) -> list:
+    """A JSON list of basis labels and integer indices; a list that is not
+    one, or an index that is a bool or a fraction, raises ``ValueError``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, not {value!r}")
+    return [k if isinstance(k, str) else _json_number(k, f"{key} index", int)
+            for k in value]
+
+
 def _count(value, key: str) -> int:
     """A sample count: a Python or numpy integer of at least 1, else
     ``ValueError`` naming ``key``; a bool, float, str or None is refused."""
@@ -303,6 +312,10 @@ class LieAlgebra:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LieAlgebra":
         labels = doc["basis"]
+        if not (isinstance(labels, (list, tuple))
+                and all(isinstance(k, str) for k in labels)):
+            raise ValueError(f"basis must be a list of label strings, not "
+                             f"{labels!r}")
         if doc.get("dim", len(labels)) != len(labels):
             raise ValueError("dim does not match the number of basis labels")
         brackets = {}

@@ -451,6 +451,31 @@ print(res.unique, 'numpy.random' in sys.modules)"""
     assert proc.stdout.strip() == "True False"
 
 
+def test_only_a_sharded_solve_imports_concurrent_futures():
+    # the import, the README graph solve and a 511-row batch leave it
+    # unloaded; a 512-row batch with two CPUs in the mask solves in shards
+    code = """import contextlib, io, os, sys, finslergo
+import numpy as np
+from finslergo.cli import main
+seen = ['concurrent.futures' in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["graph", "--y", "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8", "--l",
+          "sq_sum:1,3", "--family", "1,1,1;2,1,4"])
+seen.append('concurrent.futures' in sys.modules)
+os.sched_getaffinity = lambda pid: {0, 1}
+space = finslergo.build_s7_space().space
+y = np.random.default_rng(0).standard_normal((512, 7))
+for n in (511, 512):
+    finslergo.solve_batch(space, y[:n], np.ones((n, 3)))
+    seen.append('concurrent.futures' in sys.modules)
+print(seen)"""
+    src = os.path.dirname(os.path.dirname(finslergo.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert proc.stdout.strip() == "[False, False, False, True]"
+
+
 # -- the public names ---------------------------------------------------------------
 
 def test_all_lists_exactly_the_public_names():

@@ -387,6 +387,24 @@ def test_space_document_breaking_invariance_exits_2(s7, tmp_path, capsys):
     assert "invariance" in err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.__setitem__("h", "W"), "h must be a list, not 'W'"),
+    (lambda doc: doc["h"].__setitem__(3, 10.5),
+     "h index must be an integer, not 10.5"),
+    (lambda doc: doc["algebra"].__setitem__("basis", "XZHW123abcd"),
+     "basis must be a list of label strings")])
+def test_space_document_with_wrong_label_types_exits_2(s7, tmp_path, capsys,
+                                                        edit, message):
+    doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
+    edit(doc)
+    space_file = tmp_path / "bad.json"
+    space_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "graph", "--space", str(space_file),
+                         "--y", "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --space") and message in err
+
+
 def test_space_document_breaking_jacobi_exits_2(s7, tmp_path, capsys):
     doc = non_lie_document(s7)
     doc["family_a"] = [[1.0, 1.0, 1.0], [2.0, 1.0, 4.0]]
@@ -638,3 +656,40 @@ def test_a_bad_json_file_names_its_flag_and_path(capsys, tmp_path, flag, text,
     assert err == f"error: {flag} {str(path)!r}: {detail}\n"
     code, _, err = run(capsys, "graph", "--y", _Y, flag, str(tmp_path))
     assert code == 3 and err.startswith("i/o error: ")
+
+
+# -- output sinks and exit codes ---------------------------------------------------
+
+_README_Y = "0.3,-0.9,0.4,1.1,0.6,-0.2,0.8"
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate-l", "--l", "sum_sq:1,1", "--samples", "50"],
+    ["validate-l", "--l", "sum:1,1", "--samples", "50", "--format", "json"],
+    ["graph", "--y", _README_Y, "--l", "sq_sum:1,3", "--family",
+     "1,1,1;2,1,4"],
+    ["graph", "--y", _README_Y, "--format", "csv"],
+    ["scan", "--samples", "20", "--seed", "3"],
+    ["scan", "--samples", "20", "--seed", "3", "--format", "json"],
+    ["verify-s7", "--samples", "50"],
+    ["orbit", "--y", "1,0,0,0,0,0,0", "--steps", "5"],
+    ["orbit", "--y", "1,0,0,0,0,0,0", "--steps", "5", "--format", "json"]],
+    ids=["validate-l", "validate-l json", "graph", "graph csv", "scan",
+         "scan json", "verify-s7", "orbit", "orbit json"])
+def test_out_file_holds_the_bytes_of_stdout(tmp_path, capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    out_file = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(out_file)) == (code, "", "")
+    assert out_file.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--samples"], ["verify-s7", "--samples"],
+    ["validate-l", "--samples"], ["orbit", "--y", "1,0,0,0,0,0,0", "--steps"]])
+def test_a_count_too_large_to_allocate_is_bad_input(capsys, argv):
+    # 10**15 floats are 7.1 PiB, beyond any address space, so the
+    # allocation fails at once; that is bad input, not a failed check
+    code, out, err = run(capsys, *argv, str(10**15))
+    assert code == 2 and out == ""
+    assert err.startswith("error: Unable to allocate")

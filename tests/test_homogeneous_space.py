@@ -137,14 +137,42 @@ def _set_bracket(doc, **fields):
     (lambda doc: doc["alpha"].__setitem__(2, [1.0, [0.0], 0.0, 1.0]),
      "alpha is ragged: its lists differ in length"),
     (lambda doc: _set_bracket(doc, coeffs={"1.0": 2.0}),
-     "bracket coeffs key must be an integer, not '1.0'")],
+     "bracket coeffs key must be an integer, not '1.0'"),
+    (lambda doc: doc["algebra"].__setitem__("basis", "XZHW123abcd"),
+     "basis must be a list of label strings, not 'XZHW123abcd'"),
+    (lambda doc: doc["algebra"]["basis"].__setitem__(10, 10),
+     "basis must be a list of label strings"),
+    (lambda doc: doc.__setitem__("h", "W"), "h must be a list, not 'W'"),
+    (lambda doc: doc["h"].__setitem__(3, 10.5),
+     "h index must be an integer, not 10.5"),
+    (lambda doc: doc["h"].__setitem__(3, True),
+     "h index must be an integer, not True"),
+    (lambda doc: doc["m_blocks"].__setitem__(1, "Z1"),
+     "m_blocks must be a list, not 'Z1'"),
+    (lambda doc: doc["m_blocks"][1].__setitem__(0, 4.5),
+     "m_blocks index must be an integer, not 4.5")],
     ids=["fractional index", "string alpha", "family types", "bool coefficient",
-         "extra alpha", "ragged family", "ragged alpha", "fractional key"])
+         "extra alpha", "ragged family", "ragged alpha", "fractional key",
+         "string basis", "integer label", "string h", "fractional h index",
+         "bool h index", "string block", "fractional block index"])
 def test_space_document_refuses_wrong_types(s7, edit, message):
     doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(message)):
         load_space_document(doc)
+
+
+def test_integer_h_and_block_entries_are_indices(s7):
+    # JSON integers (2.0 included) name basis vectors by index, as bracket
+    # i and j do; the document boundary checks them, not LieAlgebra.index
+    doc = s7.space.to_json_dict()
+    doc["h"] = [7, 8.0, "H3", 10]
+    doc["m_blocks"][1] = [4]
+    space = ReductiveSpace.from_json_dict(doc)
+    assert space.h_labels() == s7.space.h_labels()
+    assert space.m_labels() == s7.space.m_labels()
+    with pytest.raises(ValueError, match="basis must be a list of label"):
+        LieAlgebra.from_json_dict({"basis": "abc"})
 
 
 def test_validate_checks_jacobi(s7):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
-                       ReductiveSpace, _shards, assemble, build_s7_space,
+                       ReductiveSpace, assemble, build_s7_space,
                        check_equivariance_batch, closed_form_xi,
                        criterion_residuals, geodesic, go_property_scan,
                        l_function_from_spec, riemannian_metric, solve_batch,
@@ -613,7 +613,7 @@ def test_shards_no_thread_has_started_are_solved_by_the_caller(s7,
     _set_cpus(monkeypatch, 1)
     serial = solve_batch(s7.space, y, c)
     _set_cpus(monkeypatch, 4)
-    monkeypatch.setattr(_shards, "_executor", Stalled)
+    monkeypatch.setattr(geodesic, "_executor", Stalled)
     sizes = _shard_sizes(monkeypatch)
     batch = solve_batch(s7.space, y, c)
     assert sizes == [256] * 4
@@ -621,23 +621,41 @@ def test_shards_no_thread_has_started_are_solved_by_the_caller(s7,
         assert getattr(batch, name).tobytes() == getattr(serial, name).tobytes()
 
 
+def test_a_batch_of_one_reads_no_mask_and_enters_errstate_once(
+        s7, monkeypatch):
+    metric = _metrics(s7)["sq_sum"]
+    entered, errstate = [], np.errstate
+
+    def counted(**kwargs):
+        entered.append(kwargs)
+        return errstate(**kwargs)
+
+    def no_mask(pid):
+        raise AssertionError("the affinity mask was read")
+
+    monkeypatch.setattr(np, "errstate", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", no_mask, raising=False)
+    result = solve_geodesic_graph(metric, _QUICK_Y)
+    assert result.unique and entered == [{"all": "ignore"}]
+
+
 def test_no_pool_is_built_for_one_cpu_or_a_small_batch(s7, monkeypatch):
-    monkeypatch.setattr(_shards, "_pool", None)
+    monkeypatch.setattr(geodesic, "_pool", None)
     y = _draw(np.random.default_rng(431), 1024, "generic")
     c = np.ones((1024, 3))
     _set_cpus(monkeypatch, 1)
     solve_batch(s7.space, y, c)
     _set_cpus(monkeypatch, 4)
     solve_batch(s7.space, y[:511], c[:511])
-    assert _shards._pool is None
+    assert geodesic._pool is None
     solve_batch(s7.space, y[:512], c[:512])
-    assert _shards._pool[0] == os.getpid()
-    _shards._pool[1].shutdown()
+    assert geodesic._pool[0] == os.getpid()
+    geodesic._pool[1].shutdown()
 
 
 def _solve_and_send(conn, y, c):
     xi = solve_batch(build_s7_space().space, y, c).xi
-    conn.send((xi.tobytes(), _shards._pool[0] == os.getpid()))
+    conn.send((xi.tobytes(), geodesic._pool[0] == os.getpid()))
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
@@ -650,7 +668,7 @@ def test_a_forked_child_solves_on_its_own_pool(s7, monkeypatch):
     y = _draw(np.random.default_rng(433), 1000, "generic")
     c = np.ones((1000, 3))
     xi = solve_batch(s7.space, y, c).xi
-    assert _shards._pool[0] == os.getpid()
+    assert geodesic._pool[0] == os.getpid()
     ctx = multiprocessing.get_context("fork")
     receiver, sender = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_solve_and_send, args=(sender, y, c))
