@@ -19,7 +19,7 @@ from .finsler_metric import (L_CONDITIONS, FinslerMetric, l_function_from_spec,
 from .geodesic import (float_repr, go_property_scan, orbit_curve,
                        solve_geodesic_graph)
 from .homogeneous_space import MetricFamily, load_space_document
-from .lie_algebra import _json_number
+from .lie_algebra import _json_array, _json_number
 from .s7_catalog import (_check_entry, ad_pattern_deviation, build_s7_space,
                          check_equivariance_sweep, extended_matrix_sweep,
                          verify_closed_form)
@@ -31,28 +31,31 @@ EXIT_IO = 3
 
 
 def _parse_matrix(value) -> np.ndarray:
-    """Family coefficients from 'a11,a12;a21,a22' or a nested list."""
-    try:
-        if isinstance(value, str):
+    """Family coefficients from 'a11,a12;a21,a22' or nested JSON lists."""
+    if isinstance(value, str):
+        try:
             rows = [r for r in value.split(";") if r.strip()]
-            value = [[float(x) for x in row.split(",")] for row in rows]
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("--family must be rows of numbers of one length, "
-                         "as in '1,1,1;2,1,4'") from None
+            a = np.asarray([[float(x) for x in row.split(",")]
+                            for row in rows], dtype=float)
+        except ValueError:
+            raise ValueError("--family must be rows of numbers of one length, "
+                             "as in '1,1,1;2,1,4'") from None
+    else:
+        a = _json_array(value, "--family")
     return a[None, :] if a.ndim == 1 else a
 
 
 def _parse_coords(value) -> np.ndarray:
-    try:
-        if isinstance(value, str):
+    """Base vector coordinates from 'y1,y2,...' or a JSON list of numbers."""
+    rule = "--y must be a flat list of numbers, as in '1,0,0,0,0,0,0'"
+    if isinstance(value, str):
+        try:
             value = [float(x) for x in value.split(",")]
-        v = np.asarray(value, dtype=float)
-        if v.ndim != 1:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ValueError("--y must be a flat list of numbers, as in "
-                         "'1,0,0,0,0,0,0'") from None
+        except ValueError:
+            raise ValueError(rule) from None
+    v = _json_array(value, "--y")
+    if v.ndim != 1:
+        raise ValueError(rule)
     return v
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .lie_algebra import (Check, LieAlgebra, Report, Vector, _all,
-                          _json_array, _json_keys, _real)
+                          _json_array, _json_keys, _json_list, _real)
 
 STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
@@ -191,14 +191,14 @@ class ReductiveSpace:
         for the Jacobi identity, which is quadratic in the constants c.
         """
         c, h, m = self.alg.structure, self.h_indices, self.m_indices
-        gram, c_hmm = self._gram, c[np.ix_(h, m, m)]
-        # alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v) = 0 within each block,
-        # with ad(e_n) on m the transpose of c_hmm[n]
-        moved = c_hmm @ gram + gram @ c_hmm.transpose(0, 2, 1)
-        in_block = np.equal.outer(self._block_of, self._block_of)
+        gram, grams = self._gram, self.block_grams
+        # alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v) = 0 on all of m for each
+        # block's form alpha_i, with ad(e_n) on m the transpose of c_hmm[n]
+        c_hmm = c[np.ix_(h, m, m)][:, None]
+        moved = c_hmm @ grams + grams @ c_hmm.transpose(0, 1, 3, 2)
         worst = {**self._split_worst,
                  "alpha_symmetry": np.abs(gram - gram.T).max(initial=0.0),
-                 "invariance": np.abs(moved[:, in_block]).max(initial=0.0)}
+                 "invariance": np.abs(moved).max(initial=0.0)}
         min_eig = min((float(np.linalg.eigvalsh(a).min()) for a in self.alpha),
                       default=np.inf)
         scale = max(1.0, float(np.abs(c).max(initial=0.0)))
@@ -230,8 +230,9 @@ class ReductiveSpace:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ReductiveSpace":
         alg = LieAlgebra.from_json_dict(doc["algebra"])
-        blocks = [_json_keys(blk, "m_blocks") for blk in doc["m_blocks"]]
-        alpha = doc["alpha"]
+        blocks = [_json_keys(blk, "m_blocks")
+                  for blk in _json_list(doc["m_blocks"], "m_blocks")]
+        alpha = _json_list(doc["alpha"], "alpha")
         if len(alpha) != len(blocks):
             raise ValueError("alpha must hold one Gram matrix per block")
         alpha = [_json_array(flat, "alpha").reshape(len(blk), len(blk))

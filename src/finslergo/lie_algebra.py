@@ -11,19 +11,22 @@ defined here, in the module all others import.
 Every result type of the library except ``GeodesicGraphResult`` derives
 from the private base ``_Record``, an immutable record without generated
 code.  A subclass declares its fields as class annotations, in order, and
-a default as a class attribute.  Every construction binds the arguments in
-``_Record._bind``: the fields by position or keyword, with ``TypeError`` on
-a missing or unknown one.  A subclass that converts or checks its
-arguments defines its own ``__init__`` and passes the results on to
-``_Record.__init__``.  Fields named in ``_hidden`` are left out of
-``repr``, ``==`` and ``hash``, which compare the remaining fields as a
-tuple.  Assigning or deleting an attribute raises ``AttributeError``;
-``functools.cached_property`` still works, since it writes the instance
-dict directly.  Records are not dataclasses: ``dataclasses.fields``,
-``asdict`` and ``replace`` do not apply to them.
+a default as a class attribute.  Every construction binds the arguments
+through the class's ``inspect.Signature`` of its fields, by position or
+keyword, with Python's ``TypeError`` on a missing or unknown one.  A
+subclass that converts or checks its arguments defines its own
+``__init__`` and passes the results on to ``_Record.__init__``.  Fields
+named in ``_hidden`` are left out of ``repr``, ``==`` and ``hash``, which
+compare the remaining fields as a tuple.  Assigning or deleting an
+attribute raises ``AttributeError``; ``functools.cached_property`` still
+works, since it writes the instance dict directly.  Records are not
+dataclasses: ``dataclasses.fields``, ``asdict`` and ``replace`` do not
+apply to them.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 
@@ -61,13 +64,18 @@ def _json_array(value, key: str) -> np.ndarray:
     return np.array(items, dtype=float)
 
 
+def _json_list(value, key: str):
+    """A JSON list; anything else raises ``ValueError`` naming ``key``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, not {value!r}")
+    return value
+
+
 def _json_keys(value, key: str) -> list:
     """A JSON list of basis labels and integer indices; a list that is not
     one, or an index that is a bool or a fraction, raises ``ValueError``."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{key} must be a list, not {value!r}")
     return [k if isinstance(k, str) else _json_number(k, f"{key} index", int)
-            for k in value]
+            for k in _json_list(value, key)]
 
 
 def _count(value, key: str) -> int:
@@ -116,31 +124,15 @@ class _Record:
         cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__",
                                                            ()))
         cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
+        cls.__signature__ = inspect.Signature([inspect.Parameter(
+            f, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+            default=getattr(cls, f, inspect.Parameter.empty))
+            for f in cls._fields])
 
     def __init__(self, *args, **kwargs):
-        object.__setattr__(self, "__dict__", self._bind(args, kwargs))
-
-    @classmethod
-    def _bind(cls, args, kwargs) -> dict:
-        fields, name = cls._fields, cls.__qualname__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} positional "
-                            f"arguments but {len(args)} were given")
-        values = dict(zip(fields, args))
-        for key in kwargs:
-            if key not in fields:
-                raise TypeError(
-                    f"{name}() got an unexpected keyword argument {key!r}")
-            if key in values:
-                raise TypeError(
-                    f"{name}() got multiple values for argument {key!r}")
-        values.update(kwargs)
-        missing = [f for f in fields if f not in values and not hasattr(cls, f)]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: "
-                            + ", ".join(map(repr, missing)))
-        return {f: values[f] if f in values else getattr(cls, f)
-                for f in fields}
+        bound = self.__signature__.bind(*args, **kwargs)
+        bound.apply_defaults()
+        object.__setattr__(self, "__dict__", bound.arguments)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._shown)

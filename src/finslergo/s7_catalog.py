@@ -1,8 +1,10 @@
 """Built-in model: the 7-sphere as Sp(2)U(1)/Sp(1)diag(U(1)).
 
-The 11-dimensional algebra sp(2) + u(1) is constructed from an explicit
-4 x 4 complex (quaternionic 2 x 2) matrix model: structure constants are
-derived from commutators at build time rather than typed by hand.  The
+The 11-dimensional algebra sp(2) + u(1) is derived from one stack of eleven
+4 x 4 complex matrices: the ten sp(2) elements, generated from the
+quaternion units 1, i, j, k, and W = Z1 - i * identity.  One least-squares
+expansion of their commutators gives every structure constant, W's
+included, and the same stack, made real, is the sphere realization.  The
 build only derives: the tests check the result (Jacobi, the prescribed
 plane-rotation patterns of the isotropy operators, the realization's
 brackets), and ``verify-s7`` checks Jacobi and the patterns.  Basis order
@@ -33,32 +35,23 @@ H_LABELS = ("H1", "H2", "H3", "W")
 LABELS = M_LABELS + H_LABELS
 
 
+# The quaternion units q = 1, i, j, k as 2 x 2 complex matrices (k = i j)
+_UNITS = np.array([[[1, 0], [0, 1]], [[1j, 0], [0, -1j]],
+                   [[0, -1], [1, 0]], [[0, -1j], [-1j, 0]]])
+
+
 def _complex_basis() -> np.ndarray:
     """The ten sp(2) basis elements as a [10, 4, 4] complex stack, in LABELS
-    order.
+    order: X_a = [[0, q_a], [-conj(q_a), 0]] for the four units, and
+    Z_a = diag(0, q_a), H_a = diag(q_a, 0) for the three imaginary ones.
 
-    Rows/columns 0-1 carry the isotropy sp(1) block, rows/columns 2-3 the
-    Z block; the off-diagonal blocks carry X1..X4.  Every matrix is
-    skew-Hermitian and quaternionic (M J = J conj(M)), which pins all signs,
-    including the (2, 3) entry of the Z block.
+    Every matrix is skew-Hermitian and quaternionic (M J = J conj(M)).
     """
-    i = 1j
-    mats = {
-        "H1": {(0, 0): i, (1, 1): -i},
-        "H2": {(0, 1): -1, (1, 0): 1},
-        "H3": {(0, 1): -i, (1, 0): -i},
-        "X1": {(0, 2): 1, (1, 3): 1, (2, 0): -1, (3, 1): -1},
-        "X2": {(0, 2): i, (1, 3): -i, (2, 0): i, (3, 1): -i},
-        "X3": {(0, 3): -1, (1, 2): 1, (2, 1): -1, (3, 0): 1},
-        "X4": {(0, 3): -i, (1, 2): -i, (2, 1): -i, (3, 0): -i},
-        "Z1": {(2, 2): i, (3, 3): -i},
-        "Z2": {(2, 3): -1, (3, 2): 1},
-        "Z3": {(2, 3): -i, (3, 2): -i},
-    }
     out = np.zeros((10, 4, 4), dtype=complex)
-    for lab, entries in mats.items():
-        for (a, b), v in entries.items():
-            out[LABELS.index(lab), a, b] = v
+    out[:4, :2, 2:] = _UNITS
+    # -conj(q) is q for an imaginary unit; 0 - 1 keeps the zeros positive
+    out[:4, 2:, :2] = np.concatenate([0 - _UNITS[:1], _UNITS[1:]])
+    out[4:7, 2:, 2:] = out[7:, :2, :2] = _UNITS[1:]
     return out
 
 
@@ -110,15 +103,19 @@ def build_s7_space() -> S7Space:
     catalog is checked by the tests and by ``verify-s7``, not here.  The
     returned object is cached and must be treated as immutable.
     """
+    # W is the Z1 matrix shifted by -i * identity, so that it annihilates the
+    # base point; the eleven matrices give the constants and the realization
     sp2 = _complex_basis()
+    mats = np.concatenate([sp2, sp2[4:5] - 1j * np.eye(4)])
+    n = len(mats)
 
     def flat(m):
         return np.concatenate([m.real, m.imag], axis=-2).reshape(-1, 32).T
 
     # all commutators [e_i, e_j] at once, expanded over the basis by one
-    # least-squares solve; column 10 i + j belongs to the pair (i, j)
-    comm = sp2[:, None] @ sp2[None] - sp2[None] @ sp2[:, None]
-    span, rhs = flat(sp2), flat(comm)
+    # least-squares solve; column n i + j belongs to the pair (i, j)
+    comm = mats[:, None] @ mats[None] - mats[None] @ mats[:, None]
+    span, rhs = flat(mats), flat(comm)
     coeffs = np.linalg.lstsq(span, rhs, rcond=None)[0]
     snapped = np.round(coeffs)
     for bad, what in (
@@ -127,29 +124,16 @@ def build_s7_space() -> S7Space:
             (np.abs(coeffs - snapped).max(axis=0) > 1e-9,
              "has non-integer structure constants")):
         if bad.any():
-            i, j = divmod(int(np.argmax(bad)), 10)
+            i, j = divmod(int(np.argmax(bad)), n)
             raise RuntimeError(f"commutator [{LABELS[i]}, {LABELS[j]}] {what}")
 
-    c = np.zeros((11, 11, 11))
-    c[:10, :10, :10] = snapped.T.reshape(10, 10, 10)
-    # W acts on m exactly as the prescribed operator and commutes with h;
-    # [e_j, W] = -[W, e_j]
-    c[:7, 10, :7] = -isotropy_operator_patterns()["W"].T
-    brackets = {}
-    for i, j, k in np.argwhere(c):
-        if i < j:
-            brackets.setdefault((i, j), {})[k] = c[i, j, k]
-    alg = LieAlgebra(LABELS, brackets)
-    space = ReductiveSpace(alg, h=list(H_LABELS), blocks=[
-        ["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]])
-
-    # 8 x 8 real realization; the extra u(1) direction realizes W as the
-    # Z1 matrix shifted by -i * identity so that it annihilates the base point
-    reals = _realify(np.concatenate([sp2, sp2[4:5] - 1j * np.eye(4)]))
-    base_point = np.zeros(8)
-    base_point[2] = 1.0
-    return S7Space(space=space,
-                   realization=MatrixRealization(reals, base_point))
+    c = snapped.T.reshape(n, n, n).tolist()
+    brackets = {(i, j): {k: v for k, v in enumerate(c[i][j]) if v}
+                for i in range(n) for j in range(i + 1, n)}
+    space = ReductiveSpace(LieAlgebra(LABELS, brackets), h=list(H_LABELS),
+                           blocks=[M_LABELS[:4], ["Z1"], M_LABELS[5:]])
+    return S7Space(space=space, realization=MatrixRealization(
+        _realify(mats), base_point=np.eye(8)[2]))
 
 
 def ad_pattern_deviation(s7: S7Space | None = None) -> float:

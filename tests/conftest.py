@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finslergo import build_s7_space, riemannian_metric
+from finslergo import ReductiveSpace, build_s7_space, riemannian_metric
 
 # combiner specs for the quick-start family: two with unit weights, two
 # whose weights move the scale of L
@@ -85,3 +85,13 @@ def non_lie_document(s7):
             assert entry["coeffs"] == {str(z3): 2.0}
             entry["coeffs"] = {str(z3): 3.0}
     return doc
+
+
+def mixed_block_space(s7):
+    """The catalog split with m1 cut into [X1, X2] and [X3, X4]: H2 carries
+    X1 into X3, so alpha_1 and alpha_2 are each invariant within their own
+    block but not on m, and a family that weights them apart is not
+    Ad(H)-invariant."""
+    return ReductiveSpace(s7.algebra, h=["H1", "H2", "H3", "W"],
+                          blocks=[["X1", "X2"], ["X3", "X4"], ["Z1"],
+                                  ["Z2", "Z3"]])

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from finslergo import MetricFamily, geodesic_residual, riemannian_metric
 from finslergo.cli import main
-from conftest import non_lie_document
+from conftest import mixed_block_space, non_lie_document
 
 
 def run(capsys, *argv):
@@ -387,6 +387,20 @@ def test_space_document_breaking_invariance_exits_2(s7, tmp_path, capsys):
     assert "invariance" in err
 
 
+def test_space_document_whose_blocks_h_mixes_exits_2(s7, tmp_path, capsys):
+    # each form is invariant within its block, but H2 carries X1 into X3,
+    # so the family below is not G-invariant: bad input, not a "not GO"
+    # verdict
+    space = mixed_block_space(s7)
+    doc = space.to_json_dict(MetricFamily(space, [[1.0, 5.0, 1.0, 1.0]]))
+    space_file = tmp_path / "mixed.json"
+    space_file.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "scan", "--samples", "1000", "--seed", "0",
+                         "--space", str(space_file), "--l", "sum_sq:1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --space") and "invariance" in err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: doc.__setitem__("h", "W"), "h must be a list, not 'W'"),
     (lambda doc: doc["h"].__setitem__(3, 10.5),
@@ -444,6 +458,32 @@ def test_malformed_family_in_a_config_file_names_the_flag(capsys, tmp_path):
     cfg.write_text(json.dumps({"family": [[1, 1, 1], [2, 1]]}))
     code, _, err = run(capsys, "scan", "--config", str(cfg), "--samples", "5")
     assert code == 2 and err.startswith("error: --family")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("y", ["0.3", True, 0.4, 1.1, 0.6, -0.2, 0.8],
+     "--y must be a number, not '0.3'"),
+    ("y", [0.3, True, 0.4, 1.1, 0.6, -0.2, 0.8],
+     "--y must be a number, not True"),
+    ("y", [[0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8]],
+     "--y must be a flat list of numbers"),
+    ("family", [[1, 1, "1"], [2, 1, 4]], "--family must be a number, not '1'"),
+    ("family", [[1, 1, 1], [2, False, 4]],
+     "--family must be a number, not False")])
+def test_config_family_and_y_take_json_numbers_only(capsys, tmp_path, key,
+                                                    value, message):
+    # a bool or a string in a list is refused, not converted (true as 1.0)
+    doc = {"y": [0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8], "l": "sq_sum:1,3",
+           "family": [[1, 1, 1], [2, 1, 4]]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    by_list = run(capsys, "graph", "--config", str(cfg))
+    assert by_list == run(capsys, "graph", "--y", _Y, "--l", "sq_sum:1,3",
+                          "--family", "1,1,1;2,1,4")
+    assert by_list[0] == 0
+    cfg.write_text(json.dumps({**doc, key: value}))
+    code, out, err = run(capsys, "graph", "--config", str(cfg))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
 
 
 def test_negative_seed_names_the_flag(capsys, tmp_path):

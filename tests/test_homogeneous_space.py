@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 from finslergo import (Check, LieAlgebra, MetricFamily, ReductiveSpace, Report,
                        load_space_document)
-from conftest import family_gram, family_product, non_lie_document
+from conftest import (family_gram, family_product, mixed_block_space,
+                      non_lie_document)
 
 
 def loop_worst(space):
@@ -19,9 +20,13 @@ def loop_worst(space):
     inv = 0.0
     for i in h:
         ad = space.alg.ad_operator(space.alg.basis_vector(int(i)))
+        s = ad[np.ix_(m, m)]
         for a, blk in zip(space.alpha, space.blocks):
-            s = ad[np.ix_(blk, blk)]
-            inv = max(inv, np.abs(s.T @ a + a @ s).max())
+            # alpha_i on all of m, so entries across blocks count too
+            pos = [list(m).index(k) for k in blk]
+            g = np.zeros((len(m), len(m)))
+            g[np.ix_(pos, pos)] = a
+            inv = max(inv, np.abs(s.T @ g + g @ s).max())
     sym = max(np.abs(a - a.T).max() for a in space.alpha)
     return {"subalgebra": sub, "reductivity": red, "invariance": inv,
             "alpha_symmetry": sym}
@@ -43,6 +48,18 @@ def test_merged_z_blocks_still_validate(s7):
         blocks=[["X1", "X2", "X3", "X4"], ["Z1", "Z2", "Z3"]],
     )
     assert merged.validate().passed
+
+
+def test_blocks_that_h_mixes_fail_invariance(s7):
+    # each alpha_i is invariant within its block, but H2 carries X1 into X3,
+    # so a family weighting the two X blocks apart is not Ad(H)-invariant
+    space = mixed_block_space(s7)
+    report = space.validate()
+    assert report.failed() == ["invariance"]
+    assert report["invariance"].worst == 1.0
+    with pytest.raises(ValueError, match="invariance"):
+        load_space_document(space.to_json_dict())
+    assert s7.space.validate()["invariance"].worst == 0.0
 
 
 def test_x_pair_as_isotropy_fails_subalgebra(s7):
@@ -74,6 +91,7 @@ def test_validate_worst_values_match_reference_loops(s7):
     rest = ["X2", "X3", "X4", "Z1", "Z2", "Z3", "H1", "H2", "H3", "W"]
     spaces = [
         s7.space,
+        mixed_block_space(s7),
         ReductiveSpace(s7.algebra, h=["X1"], blocks=[rest]),
         ReductiveSpace(s7.algebra, h=["X1", "X2"], blocks=[rest[1:]]),
         ReductiveSpace(s7.algebra, h=["H1", "H2", "H3", "W"],
@@ -150,11 +168,15 @@ def _set_bracket(doc, **fields):
     (lambda doc: doc["m_blocks"].__setitem__(1, "Z1"),
      "m_blocks must be a list, not 'Z1'"),
     (lambda doc: doc["m_blocks"][1].__setitem__(0, 4.5),
-     "m_blocks index must be an integer, not 4.5")],
+     "m_blocks index must be an integer, not 4.5"),
+    (lambda doc: doc.__setitem__("m_blocks", 5),
+     "m_blocks must be a list, not 5"),
+    (lambda doc: doc.__setitem__("alpha", 5), "alpha must be a list, not 5")],
     ids=["fractional index", "string alpha", "family types", "bool coefficient",
          "extra alpha", "ragged family", "ragged alpha", "fractional key",
          "string basis", "integer label", "string h", "fractional h index",
-         "bool h index", "string block", "fractional block index"])
+         "bool h index", "string block", "fractional block index",
+         "number blocks", "number alpha"])
 def test_space_document_refuses_wrong_types(s7, edit, message):
     doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
     edit(doc)

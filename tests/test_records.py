@@ -6,6 +6,7 @@ over its annotated fields (``lie_algebra._Record``), not a dataclass.
 
 import copy
 import dataclasses
+import inspect
 import os
 import pickle
 import subprocess
@@ -55,6 +56,7 @@ def test_construction_by_position_and_keyword(cls, records):
     for rec in (by_position, by_keyword, mixed):
         assert tuple(getattr(rec, f) for f in cls._fields) == values
     assert by_position == by_keyword == mixed
+    assert tuple(inspect.signature(cls).parameters) == cls._fields
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
