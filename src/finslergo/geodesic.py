@@ -11,17 +11,17 @@ A(y) xi = b(y).  :func:`assemble`, :func:`solve_batch` and
 with per-row block weights ``C[N, s]``; the one-vector entry points solve
 a batch of one by the same core and build their result from its row.
 Every solve assembles its system in one pass, ``_pass``.  The solver
-returns the minimal-norm least-squares solution together with rank and
-uniqueness diagnostics, by QR where full rank is certified and by SVD
-elsewhere.  Sampling utilities verify the geodesic-orbit property and
-the equivariance of the solved map over random draws.
+returns the minimal-norm least-squares solution together with rank,
+uniqueness and a condition estimate, by QR where full rank is certified
+and by SVD elsewhere.  Sampling utilities verify the geodesic-orbit
+property and the equivariance of the solved map over random draws.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -109,29 +109,34 @@ def _upper(h):
 
 def _svd_solve(a_mat, b_vec):
     """Stacked SVD of finite systems, rank by the ``lstsq`` rule: singular
-    values above RANK_RCOND times the largest count."""
+    values above RANK_RCOND times the largest count.  The condition number
+    is the largest over the smallest of all dim_h singular values, inf where
+    the smallest is 0: on A = 0, and always when dim_m < dim_h."""
     u, sigma, vt = np.linalg.svd(a_mat, full_matrices=False)
     kept = sigma > RANK_RCOND * sigma[:, :1]
     coef = (b_vec[:, None, :] @ u) / np.where(kept, sigma, np.inf)[:, None, :]
-    return (coef @ vt)[:, 0], kept.sum(axis=1)
+    low = sigma[:, -1] if sigma.shape[1] == a_mat.shape[2] else 0.0
+    return (coef @ vt)[:, 0], kept.sum(axis=1), np.where(
+        low > 0, sigma[:, 0] / low, np.inf)
 
 
 def _min_norm_solve(a_mat, b_vec):
-    """Minimal-norm least squares, QR first; returns xi and rank.
+    """Minimal-norm least squares, QR first; returns xi, rank and cond.
 
     One QR of [A | b] gives R and Q^T b for every row.  A row is certified
     full rank when h^2 max|R| max|R^-1| < 1e-2 / RANK_RCOND, which bounds
     the 2-norm condition number of A a hundredfold inside the SVD rank rule;
-    it gets xi = R^-1 Q^T b.  Every other row takes its rank from
-    :func:`_svd_solve`, and keeps the QR xi when that rank is full and the
-    QR xi is finite: just off the x = 0 stratum R^-1 Q^T b is far closer
+    it gets xi = R^-1 Q^T b, and cond = max|R| max|R^-1|, which lies in
+    [kappa_2(A) / h^2, kappa_2(A)].  Every other row takes its rank and cond
+    from :func:`_svd_solve`, and keeps the QR xi when that rank is full and
+    the QR xi is finite: just off the x = 0 stratum R^-1 Q^T b is far closer
     to the solution than the SVD's xi.  When dim_m < dim_h, or when every
     row has a zero pivot or a non-finite R (a stack on the x = 0 stratum),
-    every row takes :func:`_svd_solve`.
+    every row takes :func:`_svd_solve`.  With dim_h = 0, cond is 1.
     """
     n, m, h = a_mat.shape
     if h == 0:
-        return np.zeros((n, 0)), np.zeros(n, dtype=int)
+        return np.zeros((n, 0)), np.zeros(n, dtype=int), np.ones(n)
     if m < h:
         return _svd_solve(a_mat, b_vec)
     raw = np.linalg.qr(np.concatenate([a_mat, b_vec[..., None]], 2),
@@ -147,48 +152,39 @@ def _min_norm_solve(a_mat, b_vec):
         # the other rows get the same inputs again, and so the same bits
         r_inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(h), r))
         r_inv[bad] = np.nan  # fails the certificate
-    certified = (_abs_row_max(r) * _abs_row_max(r_inv)
-                 < 1e-2 / RANK_RCOND / (h * h))
+    cond = _abs_row_max(r) * _abs_row_max(r_inv)
+    certified = cond < 1e-2 / RANK_RCOND / (h * h)
     xi, rank = (r_inv @ raw[:, h, :h, None])[..., 0], np.full(n, h)
     if not _all(certified):
         doubt = ~certified
-        svd_xi, rank[doubt] = _svd_solve(a_mat[doubt], b_vec[doubt])
+        svd_xi, rank[doubt], cond[doubt] = _svd_solve(a_mat[doubt],
+                                                      b_vec[doubt])
         qr_xi = xi[doubt]
         keep = (rank[doubt] == h) & np.isfinite(qr_xi).all(axis=1)
         xi[doubt] = np.where(keep[:, None], qr_xi, svd_xi)
-    return xi, rank
+    return xi, rank, cond
 
 
 class GraphBatch(_Record):
     """Solved isotropy corrections, one row per base vector.
 
     ``residual`` is max |A xi - b| of each row's system, which equals the
-    bracket oracle :func:`criterion_residuals` up to rounding; ``sigma``
-    holds the singular values of the systems ``a_mat``, descending, and is
-    computed on first access (the solve does not need it).
+    bracket oracle :func:`criterion_residuals` up to rounding.  ``cond``
+    estimates each system's condition number kappa_2: max|R| max|R^-1|,
+    in [kappa_2 / dim_h^2, kappa_2], on rows certified full rank, and
+    the ratio of the extreme singular values elsewhere, inf where the
+    smallest is 0; 1 when dim_h = 0.
     """
 
     y: np.ndarray
     xi: np.ndarray
     residual: np.ndarray
     rank: np.ndarray
-    a_mat: np.ndarray
-
-    _hidden = ("a_mat",)
+    cond: np.ndarray
 
     @property
     def unique(self) -> np.ndarray:
         return self.rank == self.xi.shape[1]
-
-    @cached_property
-    def sigma(self) -> np.ndarray:
-        return _singular_values(self.a_mat, self.xi.shape[1])
-
-
-def _singular_values(a_mat, h) -> np.ndarray:
-    """Singular values of each A[N, m, h], descending, padded with 0 to h."""
-    sigma = np.linalg.svd(a_mat, compute_uv=False)
-    return np.pad(sigma, ((0, 0), (0, h - sigma.shape[1])))
 
 
 def assemble(space, Y, C):
@@ -223,12 +219,12 @@ def solve_batch(space, Y, C) -> GraphBatch:
     ``LinAlgError``, with no numpy warning.
     """
     Y, C = _rows(space, Y, C)
-    xi, rank, residual, a_mat = _solve(space, Y, C)
-    return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, a_mat=a_mat)
+    xi, rank, residual, cond = _solve(space, Y, C)
+    return GraphBatch(y=Y, xi=xi, residual=residual, rank=rank, cond=cond)
 
 
 def _solve(space, Y, C=None, metric=None):
-    """The numerical core: ``(xi, rank, residual, a_mat)`` of checked rows,
+    """The numerical core: ``(xi, rank, residual, cond)`` of checked rows,
     with C from ``metric`` or as given, under one ``np.errstate``.
 
     The pass, and so the combiner, runs on the calling thread.  The systems
@@ -245,41 +241,40 @@ def _solve(space, Y, C=None, metric=None):
     with np.errstate(all="ignore"):
         a_mat, b_vec = _pass(space, Y, C, metric)
         if k < 2:
-            xi, rank, residual = _solve_rows(a_mat, b_vec)
+            xi, rank, residual, cond = _solve_rows(a_mat, b_vec)
         else:
             cut = [n * i // k for i in range(k + 1)]
             shards = [(a_mat[lo:hi], b_vec[lo:hi])
                       for lo, hi in zip(cut, cut[1:])]
             pool = _executor()
-            rest = [(s, pool.submit(_solve_quietly, *s)) for s in shards[1:]]
+            rest = [(s, pool.submit(_solve_rows, *s)) for s in shards[1:]]
             parts = [_solve_rows(*shards[0])] + [
                 _solve_rows(*s) if f.cancel() else f.result() for s, f in rest]
-            xi, rank, residual = map(np.concatenate, zip(*parts))
+            xi, rank, residual, cond = map(np.concatenate, zip(*parts))
     if not _all(np.isfinite(residual)):
         raise np.linalg.LinAlgError(_NORM_OVERFLOW)
-    return xi, rank, residual, a_mat
+    return xi, rank, residual, cond
 
 
 def _solve_rows(a_mat, b_vec):
-    """xi, rank and the residual max |A xi - b| of finite systems."""
-    xi, rank = _min_norm_solve(a_mat, b_vec)
-    return xi, rank, _abs_row_max((a_mat @ xi[..., None])[..., 0] - b_vec)
-
-
-def _solve_quietly(a_mat, b_vec):
-    with np.errstate(all="ignore"):  # a pool thread has numpy's defaults
-        return _solve_rows(a_mat, b_vec)
+    """xi, rank, the residual max |A xi - b| and cond of finite systems."""
+    xi, rank, cond = _min_norm_solve(a_mat, b_vec)
+    return (xi, rank, _abs_row_max((a_mat @ xi[..., None])[..., 0] - b_vec),
+            cond)
 
 
 def _executor():
     """The thread pool of this process, built again in a forked child: a
     pool inherited through fork has no threads, so no work given to it
-    would ever start.  A process that solves no batch of 2 * _SHARD_ROWS
-    rows never imports ``concurrent.futures`` (3.7 ms on a 2-vCPU VM)."""
+    would ever start.  Each pool thread ignores floating-point errors, as
+    the caller does under :func:`_solve`'s ``np.errstate``.  A process that
+    solves no batch of 2 * _SHARD_ROWS rows never imports
+    ``concurrent.futures`` (3.7 ms on a 2-vCPU VM)."""
     global _pool
     if _pool is None or _pool[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
-        _pool = os.getpid(), ThreadPoolExecutor()
+        _pool = os.getpid(), ThreadPoolExecutor(
+            initializer=partial(np.seterr, all="ignore"))
     return _pool[1]
 
 
@@ -288,12 +283,8 @@ def _executor():
 
 @dataclass(frozen=True)
 class GeodesicGraphResult:
-    """Solved isotropy correction for one base vector, with its system A.
-
-    ``sigma_min``, the last singular value of A padded as in
-    :attr:`GraphBatch.sigma` (0 when dim_m < dim_h, infinite when the
-    isotropy is trivial), is computed on first access; not in the JSON.
-    """
+    """Solved isotropy correction for one base vector; ``cond`` is as in
+    :class:`GraphBatch`, and not in the JSON."""
 
     y: Vector
     xi: Vector
@@ -302,13 +293,7 @@ class GeodesicGraphResult:
     unique: bool
     y_m: Vector
     xi_h: Vector
-    a_mat: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def sigma_min(self) -> float:
-        if not self.xi_h.size:
-            return np.inf
-        return float(_singular_values(self.a_mat[None], self.xi_h.size)[0, -1])
+    cond: float
 
     def to_json_dict(self) -> dict:
         return {"y": self.y_m.tolist(), "xi": self.xi_h.tolist(),
@@ -335,13 +320,13 @@ def solve_geodesic_graph(metric: FinslerMetric, y) -> GeodesicGraphResult:
     """
     space = metric.space
     ym = space._coerce_one(y)[None]
-    xi, rank, residual, a_mat = _solve(space, ym, metric=metric)
+    xi, rank, residual, cond = _solve(space, ym, metric=metric)
     full = np.zeros((2, space.dim))  # y and xi in full coordinates
     full[0, space.m_indices], full[1, space.h_indices] = ym[0], xi[0]
     rank = int(rank[0])
     return GeodesicGraphResult(
         y=full[0], xi=full[1], residual_norm=float(residual[0]), rank=rank,
-        unique=rank == space.dim_h, y_m=ym[0], xi_h=xi[0], a_mat=a_mat[0])
+        unique=rank == space.dim_h, y_m=ym[0], xi_h=xi[0], cond=float(cond[0]))
 
 
 def check_equivariance_batch(metric: FinslerMetric, Y, H, T):

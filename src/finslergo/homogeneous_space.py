@@ -21,6 +21,12 @@ STRUCTURAL_TOL = 1e-12
 INVARIANCE_TOL = 1e-10
 
 
+def _bounded(name, entries, tol) -> Check:
+    """The check that max |entries| is at most tol."""
+    worst = float(np.abs(entries).max(initial=0.0))
+    return Check(name, worst <= tol, worst, tol)
+
+
 class ReductiveSpace:
     """Reductive split of an algebra with an invariant block decomposition."""
 
@@ -61,16 +67,11 @@ class ReductiveSpace:
                 raise ValueError("Gram matrices must be finite")
         self.alpha = alpha
 
-        # The criterion and the transport assume [h, h] in h and [h, m] in
-        # m; validate() reports these worst values and solves refuse them.
-        m, h, c = self.m_indices, self.h_indices, alg.structure
-        self._split_worst = {
-            "subalgebra": np.abs(c[np.ix_(h, h, m)]).max(initial=0.0),
-            "reductivity": np.abs(c[np.ix_(h, m, h)]).max(initial=0.0)}
         # Per-space tensors of the batched criterion: block i's Gram placed
         # in its m-slice, the block of each m-coordinate, the structure
         # constants c[i, (a, k)] of [e_i, U_a]_m for all i, and
         # c[h + m, m, m] as one matrix, which gives A and b in one product.
+        m, h, c = self.m_indices, self.h_indices, alg.structure
         self.block_grams = np.zeros((self.n_blocks, self.dim_m, self.dim_m))
         off = 0
         for grams, a in zip(self.block_grams, alpha):
@@ -84,6 +85,16 @@ class ReductiveSpace:
         self.c_gmm = c[:, m][:, :, m].reshape(self.dim, self.dim_m ** 2)
         self.c_system = c[np.ix_(np.concatenate([h, m]), m, m)].transpose(
             2, 0, 1).reshape(self.dim_m, self.dim * self.dim_m)
+        # The criterion assumes [h, h] in h, [h, m] in m and, with ad(e_n)
+        # the transpose of c_hmm[n], alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v)
+        # = 0 on m: validate() reports these and solves refuse a failure.
+        c_hmm = c[np.ix_(h, m, m)][:, None]
+        grams = self.block_grams
+        moved = c_hmm @ grams + grams @ c_hmm.transpose(0, 1, 3, 2)
+        self._split_checks = (
+            _bounded("subalgebra", c[np.ix_(h, h, m)], STRUCTURAL_TOL),
+            _bounded("reductivity", c[np.ix_(h, m, h)], STRUCTURAL_TOL),
+            _bounded("invariance", moved, INVARIANCE_TOL))
 
     # -- shape helpers -------------------------------------------------------
 
@@ -112,9 +123,10 @@ class ReductiveSpace:
     # -- coordinates ---------------------------------------------------------
 
     def _require_invariant(self):
-        if max(self._split_worst.values()) > STRUCTURAL_TOL:
-            raise ValueError("[h, m] leaves m or [h, h] leaves h; h does not "
-                             "act invariantly")
+        failed = [c.name for c in self._split_checks if not c.passed]
+        if failed:
+            raise ValueError(f"the split fails checks {failed}; h does not "
+                             f"act invariantly")
 
     def _coerce(self, v, part: str, allow_zero: bool) -> Vector:
         own, other, other_name = self._parts[part]
@@ -190,29 +202,17 @@ class ReductiveSpace:
         1e-10 for the metric-invariance condition, and 1e-12 max(1, max|c|)^2
         for the Jacobi identity, which is quadratic in the constants c.
         """
-        c, h, m = self.alg.structure, self.h_indices, self.m_indices
-        gram, grams = self._gram, self.block_grams
-        # alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v) = 0 on all of m for each
-        # block's form alpha_i, with ad(e_n) on m the transpose of c_hmm[n]
-        c_hmm = c[np.ix_(h, m, m)][:, None]
-        moved = c_hmm @ grams + grams @ c_hmm.transpose(0, 1, 3, 2)
-        worst = {**self._split_worst,
-                 "alpha_symmetry": np.abs(gram - gram.T).max(initial=0.0),
-                 "invariance": np.abs(moved).max(initial=0.0)}
+        sub, red, inv = self._split_checks
         min_eig = min((float(np.linalg.eigvalsh(a).min()) for a in self.alpha),
                       default=np.inf)
-        scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+        scale = max(1.0, float(np.abs(self.alg.structure).max(initial=0.0)))
         jac = self.alg.check_jacobi(STRUCTURAL_TOL * scale ** 2)
-
-        def bounded(name, tol):
-            return Check(name, bool(worst[name] <= tol), float(worst[name]), tol)
-
         return Report((
-            bounded("subalgebra", STRUCTURAL_TOL),
-            bounded("reductivity", STRUCTURAL_TOL),
-            bounded("alpha_symmetry", STRUCTURAL_TOL),
+            sub, red,
+            _bounded("alpha_symmetry", self._gram - self._gram.T,
+                     STRUCTURAL_TOL),
             Check("alpha_positive_definite", min_eig > 0.0, min_eig, 0.0),
-            bounded("invariance", INVARIANCE_TOL),
+            inv,
             Check("jacobi", jac.passed, jac.max_violation, jac.tol),
         ))
 
@@ -232,11 +232,15 @@ class ReductiveSpace:
         alg = LieAlgebra.from_json_dict(doc["algebra"])
         blocks = [_json_keys(blk, "m_blocks")
                   for blk in _json_list(doc["m_blocks"], "m_blocks")]
-        alpha = _json_list(doc["alpha"], "alpha")
+        alpha = [_json_array(flat, "alpha")
+                 for flat in _json_list(doc["alpha"], "alpha")]
         if len(alpha) != len(blocks):
             raise ValueError("alpha must hold one Gram matrix per block")
-        alpha = [_json_array(flat, "alpha").reshape(len(blk), len(blk))
-                 for flat, blk in zip(alpha, blocks)]
+        for a, n in zip(alpha, map(len, blocks)):
+            if a.size != n * n:
+                raise ValueError(f"alpha entry for a block of {n} needs "
+                                 f"{n * n} numbers, not {a.size}")
+        alpha = [a.reshape(len(b), len(b)) for a, b in zip(alpha, blocks)]
         return cls(alg, _json_keys(doc["h"], "h"), blocks, alpha)
 
     def __repr__(self) -> str:

@@ -15,12 +15,10 @@ a default as a class attribute.  Every construction binds the arguments
 through the class's ``inspect.Signature`` of its fields, by position or
 keyword, with Python's ``TypeError`` on a missing or unknown one.  A
 subclass that converts or checks its arguments defines its own
-``__init__`` and passes the results on to ``_Record.__init__``.  Fields
-named in ``_hidden`` are left out of ``repr``, ``==`` and ``hash``, which
-compare the remaining fields as a tuple.  Assigning or deleting an
-attribute raises ``AttributeError``; ``functools.cached_property`` still
-works, since it writes the instance dict directly.  Records are not
-dataclasses: ``dataclasses.fields``, ``asdict`` and ``replace`` do not
+``__init__`` and passes the results on to ``_Record.__init__``.
+``repr``, ``==`` and ``hash`` cover every field, compared as a tuple.
+Assigning or deleting an attribute raises ``AttributeError``.  Records are
+not dataclasses: ``dataclasses.fields``, ``asdict`` and ``replace`` do not
 apply to them.
 """
 
@@ -71,6 +69,13 @@ def _json_list(value, key: str):
     return value
 
 
+def _json_object(value, key: str):
+    """A JSON object; anything else raises ``ValueError`` naming ``key``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be an object, not {value!r}")
+    return value
+
+
 def _json_keys(value, key: str) -> list:
     """A JSON list of basis labels and integer indices; a list that is not
     one, or an index that is a bool or a fraction, raises ``ValueError``."""
@@ -117,13 +122,11 @@ class _Record:
     """Immutable record over the annotated fields of a subclass."""
 
     _fields = ()
-    _hidden = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__annotations__",
                                                            ()))
-        cls._shown = tuple(f for f in cls._fields if f not in cls._hidden)
         cls.__signature__ = inspect.Signature([inspect.Parameter(
             f, inspect.Parameter.POSITIONAL_OR_KEYWORD,
             default=getattr(cls, f, inspect.Parameter.empty))
@@ -135,11 +138,11 @@ class _Record:
         object.__setattr__(self, "__dict__", bound.arguments)
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._shown)
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
         return (f"{type(self).__qualname__}("
-                + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+                + ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
                 + ")")
 
     def __eq__(self, other):
@@ -303,7 +306,7 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LieAlgebra":
-        labels = doc["basis"]
+        labels = _json_object(doc, "algebra")["basis"]
         if not (isinstance(labels, (list, tuple))
                 and all(isinstance(k, str) for k in labels)):
             raise ValueError(f"basis must be a list of label strings, not "
@@ -311,11 +314,12 @@ class LieAlgebra:
         if doc.get("dim", len(labels)) != len(labels):
             raise ValueError("dim does not match the number of basis labels")
         brackets = {}
-        for entry in doc.get("brackets", []):
+        for entry in _json_list(doc.get("brackets", []), "brackets"):
+            entry = _json_object(entry, "bracket")
             key = tuple(_json_number(entry[k], f"bracket {k}", int)
                         for k in "ij")
             coeffs = brackets[key] = {}
-            for k, v in entry["coeffs"].items():
+            for k, v in _json_object(entry["coeffs"], "bracket coeffs").items():
                 # JSON writes the index k as the key "k"
                 if isinstance(k, str) and k.removeprefix("-").isdecimal():
                     k = int(k)

@@ -8,7 +8,8 @@ from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        go_property_scan, k_coefficients, matrix_exponential,
                        orbit_curve, riemannian_metric, solve_batch,
                        solve_geodesic_graph)
-from conftest import embed, geodesic_bound, unit_m_samples
+from conftest import (embed, geodesic_bound, mixed_block_space,
+                      unit_m_samples)
 
 
 @pytest.fixture
@@ -227,17 +228,20 @@ def _split_calls(space):
 
 
 def test_a_split_that_fails_its_structural_checks_is_not_solved(s7):
-    # [e1, e2] = e1 leaves m (reductivity); [X1, X2] leaves h (subalgebra)
+    # [e1, e2] = e1 leaves m (reductivity); [X1, X2] leaves h (subalgebra);
+    # H2 carries the block [X1, X2] into [X3, X4] (invariance)
     alg = LieAlgebra(["e1", "e2"], {("e1", "e2"): {"e1": 1.0}})
     rest = ["X3", "X4", "Z1", "Z2", "Z3", "H1", "H2", "H3", "W"]
     spaces = {"reductivity": ReductiveSpace(alg, h=["e1"], blocks=[["e2"]]),
               "subalgebra": ReductiveSpace(s7.algebra, h=["X1", "X2"],
-                                           blocks=[rest])}
+                                           blocks=[rest]),
+              "invariance": mixed_block_space(s7)}
     for failed, space in spaces.items():
         assert failed in space.validate().failed()  # still reported
         for name, call in _split_calls(space).items():
-            with pytest.raises(ValueError,
-                               match="h does not act invariantly"):
+            with pytest.raises(ValueError, match=(
+                    f"h does not act invariantly.*'{failed}'|"
+                    f"'{failed}'.*h does not act invariantly")):
                 call()
     for call in _split_calls(s7.space).values():
         call()

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from finslergo import (Check, LieAlgebra, MetricFamily, ReductiveSpace, Report,
                        load_space_document)
 from conftest import (family_gram, family_product, mixed_block_space,
-                      non_lie_document)
+                      non_lie_document, weighted_gram)
 
 
 def loop_worst(space):
@@ -171,12 +171,25 @@ def _set_bracket(doc, **fields):
      "m_blocks index must be an integer, not 4.5"),
     (lambda doc: doc.__setitem__("m_blocks", 5),
      "m_blocks must be a list, not 5"),
-    (lambda doc: doc.__setitem__("alpha", 5), "alpha must be a list, not 5")],
+    (lambda doc: doc.__setitem__("alpha", 5), "alpha must be a list, not 5"),
+    (lambda doc: _set_bracket(doc, coeffs=[1]),
+     "bracket coeffs must be an object, not [1]"),
+    (lambda doc: doc.__setitem__("algebra", [1]),
+     "algebra must be an object, not [1]"),
+    (lambda doc: doc["algebra"].__setitem__("brackets", None),
+     "brackets must be a list, not None"),
+    (lambda doc: doc["algebra"]["brackets"].__setitem__(0, [0, 1]),
+     "bracket must be an object, not [0, 1]"),
+    (lambda doc: doc["alpha"].__setitem__(2, [1.0, 0.0, 1.0]),
+     "alpha entry for a block of 2 needs 4 numbers, not 3"),
+    (lambda doc: doc["alpha"].__setitem__(0, 5),
+     "alpha entry for a block of 4 needs 16 numbers, not 1")],
     ids=["fractional index", "string alpha", "family types", "bool coefficient",
          "extra alpha", "ragged family", "ragged alpha", "fractional key",
          "string basis", "integer label", "string h", "fractional h index",
          "bool h index", "string block", "fractional block index",
-         "number blocks", "number alpha"])
+         "number blocks", "number alpha", "list coeffs", "list algebra",
+         "null brackets", "list bracket", "short alpha", "number alpha entry"])
 def test_space_document_refuses_wrong_types(s7, edit, message):
     doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
     edit(doc)
@@ -274,8 +287,8 @@ def test_gram_min_eigenvalue_is_blockwise(s7):
         blocks=[["X1", "X2", "X3", "X4"], ["Z1"], ["Z2", "Z3"]],
         alpha=alphas)
     a_row = np.array([0.7, 2.0, 1.3])
-    family = MetricFamily(space, [a_row])
-    direct = np.linalg.eigvalsh(family_gram(family, 0)).min()
+    # random forms are not invariant, so no MetricFamily takes this space
+    direct = np.linalg.eigvalsh(weighted_gram(space, a_row)).min()
     blockwise = min(a * np.linalg.eigvalsh(al).min()
                     for a, al in zip(a_row, alphas))
     assert_allclose(direct, blockwise, rtol=1e-12)

@@ -112,6 +112,7 @@ def test_rank_and_xi_match_the_svd_reference(s7, name):
             assert set(ref_rank) == ({1, 4} if kind == "edge" else {1})
             deficient = ref_rank < 4
             assert np.array_equal(batch.xi[deficient], ref_xi[deficient])
+            assert np.all(batch.cond[deficient] >= 1.0 / RANK_RCOND)
             continue
         assert np.all(ref_rank == 4)
         exact = closed_form_xi(y / norm[:, None], c)[:, h] * norm[:, None]
@@ -225,7 +226,9 @@ def test_the_stratum_edge_case_is_pinned(s7):
     assert batch.residual[0] <= 5e-16
     exact = closed_form_xi(y, c)[:, s7.space.h_indices]
     assert np.abs(batch.xi - exact).max() <= 1e-15
-    assert abs(batch.sigma[0, -1] - 1e-8) <= 1e-14
+    sigma = np.linalg.svd(assemble(s7.space, y, c)[0], full_matrices=False)[1]
+    assert abs(sigma[0, -1] - 1e-8) <= 1e-14
+    assert batch.cond[0] == sigma[0, 0] / sigma[0, -1]  # not certified
 
 
 def test_full_rank_batches_never_call_the_svd(s7, monkeypatch):
@@ -255,27 +258,71 @@ def test_a_space_with_dim_m_below_dim_h_takes_the_svd(monkeypatch):
     assert np.array_equal(batch.xi, ref_xi)
     assert np.array_equal(batch.rank, ref_rank)
     assert np.all(batch.rank == 3) and not batch.unique.any()
-    assert batch.sigma.shape == (20, 6) and np.all(batch.sigma[:, 4:] == 0.0)
+    assert np.all(batch.cond == np.inf)
     assert np.abs(criterion_residuals(space, y, c, batch.xi)).max() <= 1e-14
 
 
-# -- the lazy singular values -------------------------------------------------
+# -- the condition estimate ---------------------------------------------------
 
-def test_sigma_is_computed_on_first_access(s7, monkeypatch):
+def _kappa(a_mat):
+    """sigma_max / sigma_min of each system, from an SVD with vectors as
+    the solve takes it (without them the values may differ in the last
+    bits); inf where sigma_min is 0."""
+    sigma = np.linalg.svd(a_mat, full_matrices=False)[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(sigma[:, -1] > 0, sigma[:, 0] / sigma[:, -1], np.inf)
+
+
+@pytest.mark.parametrize("name", ["round", "sq_sum", "sum_sq"])
+def test_cond_is_the_certificate_product_or_the_svd_ratio(s7, name):
+    # certified rows: max|R| max|R^-1|, in [kappa / h^2, kappa]; every other
+    # row: the exact ratio of the solve's own SVD
+    metric = _metrics(s7)[name]
+    rng = np.random.default_rng(437)
+    for kind in ("generic", "near", "close", "edge", "on"):
+        y = _draw(rng, 300, kind)
+        c = metric.c_coefficients(y)
+        a_mat = assemble(s7.space, y, c)[0]
+        cond, kappa = solve_batch(s7.space, y, c).cond, _kappa(a_mat)
+        certified = 16 * cond < 1e-2 / RANK_RCOND
+        assert certified.all() if kind in ("generic", "near") else \
+            not certified.any()
+        r = np.linalg.qr(a_mat[certified], mode="r")
+        product = (np.abs(r).max(axis=(1, 2))
+                   * np.abs(np.linalg.inv(r)).max(axis=(1, 2)))
+        np.testing.assert_allclose(cond[certified], product, rtol=1e-12)
+        assert np.all(cond[certified] <= kappa[certified] * (1 + 1e-12))
+        assert np.all(cond[certified] >= kappa[certified] / 16)
+        assert np.array_equal(cond[~certified], kappa[~certified])
+        assert np.all(cond >= 1.0)
+
+
+def test_cond_is_inf_on_the_x_stratum_and_where_a_is_zero(s7):
+    # on y = Z1, A = 0: a plain sigma_max / sigma_min would be 0 / 0
+    metric = _metrics(s7)["sq_sum"]
+    on_x = _draw(np.random.default_rng(439), 20, "on")
+    batch = solve_batch(s7.space, on_x, metric.c_coefficients(on_x))
+    assert np.all(batch.cond == np.inf) and np.all(batch.rank == 1)
+    z1 = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-150, 1.0, 1e150):
+            res = solve_geodesic_graph(metric, scale * z1)
+            assert (res.rank, res.cond) == (0, np.inf)
+
+
+def test_cond_takes_no_second_svd(s7, monkeypatch):
+    # the on-stratum rows of a batch take the SVD once, for xi, rank and
+    # cond together; full-rank rows take none
     metric = _metrics(s7)["sq_sum"]
     y = _draw(np.random.default_rng(415), 30, "generic")
     y[::7, :4] = 0.0
     c = metric.c_coefficients(y)
-    a_mat, _ = assemble(s7.space, y, c)
-    ref = np.linalg.svd(a_mat, compute_uv=False)
     svds = _counting(monkeypatch, "svd")
     batch = solve_batch(s7.space, y, c)
     res = solve_geodesic_graph(metric, y[1])
-    assert len(svds) == 1  # the on-stratum rows of the batch
-    assert np.array_equal(batch.sigma, ref) and batch.sigma is batch.sigma
-    assert res.sigma_min == ref[1].min()
-    assert len(svds) == 3  # one more for each of sigma and sigma_min
-    assert "a_mat" not in repr(batch) and "batch=" not in repr(res)
+    assert svds == [(5, 7, 4)]
+    assert res.cond == batch.cond[1] and "cond" not in res.to_json_dict()
 
 
 # -- one base vector: row 0 of a batch of one ---------------------------------
@@ -302,12 +349,7 @@ def _assert_rows_are_one_vector_results(metric, y):
         assert np.float64(res.residual_norm).tobytes() == \
             batch.residual[i].tobytes()
         assert (res.rank, res.unique) == (batch.rank[i], batch.unique[i])
-        assert res.a_mat.tobytes() == batch.a_mat[i].tobytes()
-        if space.dim_h:
-            assert np.float64(res.sigma_min).tobytes() == \
-                batch.sigma[i, -1].tobytes()
-        else:
-            assert res.sigma_min == np.inf
+        assert np.float64(res.cond).tobytes() == batch.cond[i].tobytes()
         assert json.dumps(res.to_json_dict(), indent=2) == _float_list_json(
             batch.y[i], batch.xi[i], batch.residual[i], batch.rank[i],
             batch.unique[i])
@@ -330,10 +372,10 @@ def test_one_vector_result_is_its_row_of_a_batch_bit_for_bit(s7, spec):
 
 
 def test_one_vector_result_is_its_row_below_and_without_isotropy():
-    sphere = _sphere_quotient()  # dim_m = 4 < dim_h = 6: sigma_min is 0
+    sphere = _sphere_quotient()  # dim_m = 4 < dim_h = 6: cond is inf
     y = np.random.default_rng(423).standard_normal((10, 4))
     _assert_rows_are_one_vector_results(sphere, y)
-    assert solve_geodesic_graph(sphere, y[0]).sigma_min == 0.0
+    assert solve_geodesic_graph(sphere, y[0]).cond == np.inf
     alg = LieAlgebra(["e1", "e2", "e3"],
                      {("e1", "e2"): {"e3": 1.0}, ("e2", "e3"): {"e1": 1.0},
                       ("e1", "e3"): {"e2": -1.0}})
@@ -544,7 +586,7 @@ def test_sharded_batches_equal_the_serial_solve_bit_for_bit(s7, monkeypatch):
         svds = _counting(monkeypatch, "svd")
         batch = solve_batch(s7.space, y, c)
         assert sorted(sizes) == shards
-        for name in ("xi", "rank", "residual"):
+        for name in ("xi", "rank", "residual", "cond"):
             assert getattr(batch, name).tobytes() == \
                 getattr(serial, name).tobytes()
         # with four shards, the two of on-stratum rows take the SVD alone
@@ -617,7 +659,7 @@ def test_shards_no_thread_has_started_are_solved_by_the_caller(s7,
     sizes = _shard_sizes(monkeypatch)
     batch = solve_batch(s7.space, y, c)
     assert sizes == [256] * 4
-    for name in ("xi", "rank", "residual"):
+    for name in ("xi", "rank", "residual", "cond"):
         assert getattr(batch, name).tobytes() == getattr(serial, name).tobytes()
 
 
