@@ -16,7 +16,7 @@ through the class's ``inspect.Signature`` of its fields, by position or
 keyword, with Python's ``TypeError`` on a missing or unknown one.  A
 subclass that converts or checks its arguments defines its own
 ``__init__`` and passes the results on to ``_Record.__init__``.
-``repr``, ``==`` and ``hash`` cover every field, compared as a tuple.
+``repr``, ``==`` (arrays by ``np.array_equal``) and ``hash`` cover every field.
 Assigning or deleting an attribute raises ``AttributeError``.  Records are
 not dataclasses: ``dataclasses.fields``, ``asdict`` and ``replace`` do not
 apply to them.
@@ -148,7 +148,9 @@ class _Record:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return all(a is b or (np.array_equal(a, b) if isinstance(a, np.ndarray)
+                              or isinstance(b, np.ndarray) else a == b)
+                   for a, b in zip(self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())

