@@ -209,7 +209,7 @@ def validate_l(lf: LFunction, sample_count: int = 200,
     sample's.
     """
     sample_count = _count(sample_count, "sample_count")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     k = lf.arity
     points = rng.uniform(0.05, 3.0, size=(sample_count, k))
     faces = points[:min(16, sample_count) if k > 1 else 0].copy()

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
+# numpy's LAPACK gufuncs, without np.linalg's copies, checks and errstate
+from numpy.linalg._umath_linalg import inv as _inv, qr_r_raw as _qr_r_raw
 
 from .finsler_metric import _GRADIENT_OVERFLOW, _NORM_OVERFLOW, FinslerMetric
 from .lie_algebra import (Vector, _abs_row_max, _all, _count, _real,
@@ -123,45 +125,37 @@ def _svd_solve(a_mat, b_vec):
 def _min_norm_solve(a_mat, b_vec):
     """Minimal-norm least squares, QR first; returns xi, rank and cond.
 
-    One QR of [A | b] gives R and Q^T b for every row.  A row is certified
-    full rank when h^2 max|R| max|R^-1| < 1e-2 / RANK_RCOND, which bounds
-    the 2-norm condition number of A a hundredfold inside the SVD rank rule;
-    it gets xi = R^-1 Q^T b, and cond = max|R| max|R^-1|, which lies in
-    [kappa_2(A) / h^2, kappa_2(A)].  Every other row takes its rank and cond
-    from :func:`_svd_solve`, and keeps the QR xi when that rank is full and
-    the QR xi is finite: just off the x = 0 stratum R^-1 Q^T b is far closer
-    to the solution than the SVD's xi.  When dim_m < dim_h, or when every
-    row has a zero pivot or a non-finite R (a stack on the x = 0 stratum),
-    every row takes :func:`_svd_solve`.  With dim_h = 0, cond is 1.
+    One in-place QR of [A | b] gives R and Q^T b for every row.  A row is
+    certified full rank when h^2 max|R| max|R^-1| < 1e-2 / RANK_RCOND,
+    which bounds the 2-norm condition number of A a hundredfold inside the
+    SVD rank rule; it gets xi = R^-1 Q^T b, and cond = max|R| max|R^-1|,
+    which lies in [kappa_2(A) / h^2, kappa_2(A)].  Every other row takes its
+    rank and cond from :func:`_svd_solve`, and keeps the QR xi where that
+    rank is full and the QR cond and xi are finite (a zero pivot makes its
+    row of R^-1 NaN under the caller's ignored floating-point errors): just
+    off the x = 0 stratum R^-1 Q^T b is far closer to the solution than the
+    SVD's xi.  When dim_m < dim_h every row takes :func:`_svd_solve`.  With
+    dim_h = 0, cond is 1.
     """
     n, m, h = a_mat.shape
     if h == 0:
         return np.zeros((n, 0)), np.zeros(n, dtype=int), np.ones(n)
     if m < h:
         return _svd_solve(a_mat, b_vec)
-    raw = np.linalg.qr(np.concatenate([a_mat, b_vec[..., None]], 2),
-                       mode="raw")[0]
-    r = np.where(_upper(h), raw[:, :h, :h].transpose(0, 2, 1), 0.0)
-    try:
-        r_inv = np.linalg.inv(r)
-    except np.linalg.LinAlgError:  # an exactly zero pivot, as at x = 0
-        bad = ~((np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > 0)
-                & np.isfinite(r).all(axis=(1, 2)))
-        if bad.all():
-            return _svd_solve(a_mat, b_vec)
-        # the other rows get the same inputs again, and so the same bits
-        r_inv = np.linalg.inv(np.where(bad[:, None, None], np.eye(h), r))
-        r_inv[bad] = np.nan  # fails the certificate
+    qr = np.concatenate([a_mat, b_vec[..., None]], 2)
+    _qr_r_raw(qr, signature="d->d")  # R on and above the diagonal
+    r = np.where(_upper(h), qr[:, :h, :h], 0.0)
+    r_inv = _inv(r, signature="d->d")
     cond = _abs_row_max(r) * _abs_row_max(r_inv)
     certified = cond < 1e-2 / RANK_RCOND / (h * h)
-    xi, rank = (r_inv @ raw[:, h, :h, None])[..., 0], np.full(n, h)
+    xi, rank = (r_inv @ qr[:, :h, h, None])[..., 0], np.full(n, h)
     if not _all(certified):
         doubt = ~certified
+        finite = np.isfinite(cond[doubt]) & np.isfinite(xi[doubt]).all(axis=1)
         svd_xi, rank[doubt], cond[doubt] = _svd_solve(a_mat[doubt],
                                                       b_vec[doubt])
-        qr_xi = xi[doubt]
-        keep = (rank[doubt] == h) & np.isfinite(qr_xi).all(axis=1)
-        xi[doubt] = np.where(keep[:, None], qr_xi, svd_xi)
+        keep = finite & (rank[doubt] == h)
+        xi[doubt] = np.where(keep[:, None], xi[doubt], svd_xi)
     return xi, rank, cond
 
 
@@ -391,6 +385,7 @@ def go_property_scan(metric: FinslerMetric, n_samples: int,
     invariant, so the sphere is a complete test set.
     """
     n_samples = _count(n_samples, "n_samples")
+    seed = _count(seed, "seed", 0)
     space = metric.space
     rng = np.random.default_rng(seed)
     samples = rng.standard_normal((n_samples, space.dim_m))
@@ -400,7 +395,7 @@ def go_property_scan(metric: FinslerMetric, n_samples: int,
     return ScanReport(max_residual=float(residuals[worst]),
                       worst_y=samples[worst], samples=samples,
                       residuals=residuals, labels=tuple(space.m_labels()),
-                      seed=int(seed))
+                      seed=seed)
 
 
 class MatrixRealization(_Record):

@@ -83,13 +83,14 @@ def _json_keys(value, key: str) -> list:
             for k in _json_list(value, key)]
 
 
-def _count(value, key: str) -> int:
-    """A sample count: a Python or numpy integer of at least 1, else
-    ``ValueError`` naming ``key``; a bool, float, str or None is refused."""
+def _count(value, key: str, least: int = 1) -> int:
+    """An integer argument (a sample count, or a seed with ``least=0``): a
+    Python or numpy integer of at least ``least``, else ``ValueError``
+    naming ``key``; a bool, float, str or None is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key} must be an integer, not {value!r}")
-    if value < 1:
-        raise ValueError(f"{key} must be at least 1")
+    if value < least:
+        raise ValueError(f"{key} must be at least {least}")
     return int(value)
 
 

@@ -272,10 +272,10 @@ def _check_entry(worst, tol, **witness) -> dict:
 
 def _sweep_rng(n_samples: int, seed: int, tol):
     """n_samples as an int and the generator of an oracle sweep, once
-    n_samples and tol are checked."""
+    n_samples, tol and seed are checked."""
     n_samples = _count(n_samples, "n_samples")
     _positive_tol(tol)
-    return n_samples, np.random.default_rng(seed)
+    return n_samples, np.random.default_rng(_count(seed, "seed", 0))
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
@@ -370,6 +370,7 @@ def verify_s7(n_samples: int = 1000, seed: int = 0, tol=None) -> dict:
     """The ``verify-s7`` document: six checks, each held to ``tol`` or its
     default; the sweeps take ``max(20, n_samples // 10)`` draws."""
     n_samples = _count(n_samples, "n_samples")
+    seed = _count(seed, "seed", 0)
     t_jac, t_ad, t_ext, t_res, t_mis, t_eq = (
         (1e-12, 1e-12, 1e-12, 1e-9, 1e-8, 1e-8) if tol is None
         else (_positive_tol(tol),) * 6)

@@ -349,6 +349,42 @@ def test_numpy_integer_sample_counts_are_taken_as_ints(round_metric, entry):
         assert repr(got) == repr(expect)
 
 
+# every entry point that takes a seed, called with a seed s
+SEEDED = {
+    "go_property_scan": lambda m, s: go_property_scan(m, 5, s),
+    "validate_l": lambda m, s: validate_l(LFunction.squared_sum([1.0, 3.0]),
+                                          10, s),
+    "verify_closed_form": lambda m, s: verify_closed_form(20, s),
+    "extended_matrix_sweep": lambda m, s: extended_matrix_sweep(20, s, 1e-12),
+    "check_equivariance_sweep":
+        lambda m, s: check_equivariance_sweep(20, s, 1e-8),
+    "verify_s7": lambda m, s: verify_s7(20, s),
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (None, "seed must be an integer, not None"),
+    (True, "seed must be an integer, not True"),
+    (1.5, "seed must be an integer, not 1.5"),
+    ("3", "seed must be an integer, not '3'"),
+    (-1, "seed must be at least 0"),
+])
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_a_seed_that_is_no_non_negative_integer_is_refused_by_name(
+        round_metric, entry, bad, message):
+    # None used to draw fresh entropy (or, in the scan, fail in int(None)
+    # after solving), True ran as seed 1, and -1 and 1.5 failed inside numpy
+    with pytest.raises(ValueError, match=message):
+        SEEDED[entry](round_metric, bad)
+
+
+@pytest.mark.parametrize("entry", sorted(SEEDED))
+def test_numpy_integer_seeds_are_taken_as_ints(round_metric, entry):
+    expect = SEEDED[entry](round_metric, 0)
+    for s in (np.int64(0), np.int32(0), np.uint8(0)):
+        assert repr(SEEDED[entry](round_metric, s)) == repr(expect)
+
+
 def test_closed_form_solves_finsler_systems_too(s7):
     # weights induced by a genuinely composite norm, not constants
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0], [0.5, 2.0, 1.0]])

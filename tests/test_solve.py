@@ -82,14 +82,17 @@ def _sphere_quotient(n=5):
 
 
 def _counting(monkeypatch, name):
+    """Shapes of the solve's calls to a LAPACK kernel: the gufuncs
+    ``_qr_r_raw`` and ``_inv`` that geodesic calls directly, or ``svd``."""
+    owner = np.linalg if name == "svd" else geodesic
     calls = []
-    original = getattr(np.linalg, name)
+    original = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -169,10 +172,10 @@ def test_mixed_batches_equal_batches_of_one_bit_for_bit(s7):
             assert np.array_equal(res.xi_h, batch.xi[i])
 
 
-# -- the zero-pivot retry and the SVD fallback --------------------------------
+# -- zero pivots and the SVD fallback -----------------------------------------
 
 def test_zero_pivots_next_to_a_non_finite_system_raise_not_finite(s7, capfd):
-    # the retry after a zero pivot must also pass over the non-finite row
+    # a zero pivot's NaN row must not hide the non-finite system
     rng = np.random.default_rng(407)
     rows = np.vstack([_draw(rng, 2, "generic"), _draw(rng, 2, "on"),
                       np.full(7, 1e200)])
@@ -182,34 +185,39 @@ def test_zero_pivots_next_to_a_non_finite_system_raise_not_finite(s7, capfd):
     assert out + err == ""
 
 
-def test_an_on_stratum_stack_goes_straight_to_the_svd(s7, round_metric,
-                                                      monkeypatch):
+def test_an_on_stratum_stack_fails_the_certificate_and_takes_the_svd(
+        s7, round_metric, monkeypatch):
     for n in (1, 5):
         y = _draw(np.random.default_rng(409), n, "on")
         c = round_metric.c_coefficients(y)
         a_mat, b_vec = assemble(s7.space, y, c)
-        inverses = _counting(monkeypatch, "inv")
+        inverses = _counting(monkeypatch, "_inv")
         svds = _counting(monkeypatch, "svd")
         batch = solve_batch(s7.space, y, c)
-        assert len(inverses) == 1 and svds == [(n, 7, 4)]
+        assert inverses == [(n, 4, 4)] and svds == [(n, 7, 4)]
         ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
         assert np.array_equal(batch.xi, ref_xi)
         assert np.array_equal(batch.rank, ref_rank)
         monkeypatch.undo()
 
 
-def test_on_stratum_rows_take_the_retry_and_the_svd(s7, round_metric,
-                                                    monkeypatch):
-    # in a mixed stack only the on-stratum rows reach the SVD
+def test_on_stratum_rows_take_one_inverse_and_the_svd(s7, round_metric,
+                                                       monkeypatch):
+    # in a mixed stack the zero pivots of the on-stratum rows give NaN rows
+    # of the one inverse, and only those rows reach the SVD
     rng = np.random.default_rng(409)
     y = np.vstack([_draw(rng, 3, "generic"), _draw(rng, 5, "on"),
                    _draw(rng, 2, "near")])
     c = round_metric.c_coefficients(y)
     a_mat, b_vec = assemble(s7.space, y, c)
-    inverses = _counting(monkeypatch, "inv")
+    qrs = _counting(monkeypatch, "_qr_r_raw")
+    inverses = _counting(monkeypatch, "_inv")
     svds = _counting(monkeypatch, "svd")
+    solve_batch(s7.space, y[:3], c[:3])
+    assert qrs == [(3, 7, 5)] and inverses == [(3, 4, 4)] and svds == []
+    del qrs[:], inverses[:]
     batch = solve_batch(s7.space, y, c)
-    assert len(inverses) == 2 and svds == [(5, 7, 4)]
+    assert len(inverses) == 1 and svds == [(5, 7, 4)]
     on = slice(3, 8)
     ref_xi, ref_rank = _svd_reference(a_mat[on], b_vec[on])
     assert np.array_equal(batch.xi[on], ref_xi)
@@ -229,6 +237,29 @@ def test_the_stratum_edge_case_is_pinned(s7):
     sigma = np.linalg.svd(assemble(s7.space, y, c)[0], full_matrices=False)[1]
     assert abs(sigma[0, -1] - 1e-8) <= 1e-14
     assert batch.cond[0] == sigma[0, 0] / sigma[0, -1]  # not certified
+
+
+def test_a_non_finite_r_never_keeps_its_qr_xi(s7, round_metric, monkeypatch):
+    # R[0] = (inf, 0, 0, 0) leaves R^-1, and so the QR xi, finite; the row
+    # must still take the SVD's xi, and the other rows keep their bits
+    y = _draw(np.random.default_rng(441), 3, "generic")
+    c = round_metric.c_coefficients(y)
+    a_mat, b_vec = assemble(s7.space, y, c)
+    clean, kernel = solve_batch(s7.space, y, c), geodesic._qr_r_raw
+
+    def overflowing(qr, **kwargs):
+        tau = kernel(qr, **kwargs)
+        qr[1, 0, :4] = [np.inf, 0.0, 0.0, 0.0]
+        return tau
+
+    monkeypatch.setattr(geodesic, "_qr_r_raw", overflowing)
+    batch = solve_batch(s7.space, y, c)
+    ref_xi, ref_rank = _svd_reference(a_mat[1:2], b_vec[1:2])
+    assert batch.rank[1] == ref_rank[0] == 4
+    assert batch.xi[1].tobytes() == ref_xi[0].tobytes()
+    for name in ("xi", "rank", "residual", "cond"):
+        assert getattr(batch, name)[::2].tobytes() == \
+            getattr(clean, name)[::2].tobytes()
 
 
 def test_full_rank_batches_never_call_the_svd(s7, monkeypatch):
@@ -251,7 +282,7 @@ def test_a_space_with_dim_m_below_dim_h_takes_the_svd(monkeypatch):
     y = np.random.default_rng(413).standard_normal((20, 4))
     c = metric.c_coefficients(y)
     a_mat, b_vec = assemble(space, y, c)
-    qrs = _counting(monkeypatch, "qr")
+    qrs = _counting(monkeypatch, "_qr_r_raw")
     batch = solve_batch(space, y, c)
     assert qrs == []
     ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
