@@ -85,9 +85,8 @@ class LFunction:
     """
 
     def __init__(self, kind: str, arity: int, value, grad):
-        self.kind, self.arity, self.form_failures = kind, int(arity), None
-        if self.arity < 1:
-            raise ValueError("arity must be at least 1")
+        self.kind, self.form_failures = kind, None
+        self.arity = _count(arity, "arity")
 
         def checked(u):  # the gradient as floats, of the shape of u
             g = np.asarray(grad(u), dtype=float)

@@ -56,8 +56,8 @@ def float_repr(x) -> str:
 
 def _rows(space, Y, C):
     """Validated m-coordinates ``[N, dim_m]`` and block weights ``[N, s]``
-    on a split that h acts on invariantly."""
-    space._require_invariant()
+    on a space that passes its checks."""
+    space._require_valid()
     Y = space.coerce_m(Y)
     C = _real(C, "block weights C")
     if Y.ndim != 2 or C.shape != (len(Y), space.n_blocks):
@@ -76,7 +76,8 @@ def _criterion(space, Y, C, Xi) -> np.ndarray:
     w[:, space.m_indices] = Y
     w[:, space.h_indices] = Xi
     with np.errstate(over="ignore", invalid="ignore"):
-        brackets = (w[:, None, :] @ space.c_gmm).reshape(*Y.shape, -1)
+        brackets = (w[:, None, :] @ space.c_gmm).reshape(
+            len(Y), space.dim_m, space.dim_m)
         out = (brackets @ space.weighted_apply(Y, C)[..., None])[..., 0]
     if not _all(np.isfinite(out)):
         raise np.linalg.LinAlgError(_NORM_OVERFLOW)

@@ -56,7 +56,7 @@ class ReductiveSpace:
 
         if alpha is None:
             alpha = [np.eye(len(blk)) for blk in self.blocks]
-        alpha = [_real(a, "Gram matrices") for a in alpha]
+        alpha = [_real(a, "Gram matrices", copy=True) for a in alpha]
         if len(alpha) != len(self.blocks):
             raise ValueError("need exactly one Gram matrix per block")
         for a, blk in zip(alpha, self.blocks):
@@ -85,16 +85,7 @@ class ReductiveSpace:
         self.c_gmm = c[:, m][:, :, m].reshape(self.dim, self.dim_m ** 2)
         self.c_system = c[np.ix_(np.concatenate([h, m]), m, m)].transpose(
             2, 0, 1).reshape(self.dim_m, self.dim * self.dim_m)
-        # The criterion assumes [h, h] in h, [h, m] in m and, with ad(e_n)
-        # the transpose of c_hmm[n], alpha_i(ad(h)u, v) + alpha_i(u, ad(h)v)
-        # = 0 on m: validate() reports these and solves refuse a failure.
-        c_hmm = c[np.ix_(h, m, m)][:, None]
-        grams = self.block_grams
-        moved = c_hmm @ grams + grams @ c_hmm.transpose(0, 1, 3, 2)
-        self._split_checks = (
-            _bounded("subalgebra", c[np.ix_(h, h, m)], STRUCTURAL_TOL),
-            _bounded("reductivity", c[np.ix_(h, m, h)], STRUCTURAL_TOL),
-            _bounded("invariance", moved, INVARIANCE_TOL))
+        self._report = None  # validate()'s, computed on first use
 
     # -- shape helpers -------------------------------------------------------
 
@@ -122,11 +113,10 @@ class ReductiveSpace:
 
     # -- coordinates ---------------------------------------------------------
 
-    def _require_invariant(self):
-        failed = [c.name for c in self._split_checks if not c.passed]
+    def _require_valid(self):
+        failed = self.validate().failed()
         if failed:
-            raise ValueError(f"the split fails checks {failed}; h does not "
-                             f"act invariantly")
+            raise ValueError(f"the space fails checks {failed}")
 
     def _coerce(self, v, part: str, allow_zero: bool) -> Vector:
         own, other, other_name = self._parts[part]
@@ -196,25 +186,33 @@ class ReductiveSpace:
     # -- validation -------------------------------------------------------------
 
     def validate(self) -> Report:
-        """Run all numeric invariants and report per-check worst violations.
+        """The space's six checks with their worst violations, computed on
+        first use and kept; every metric and solve refuses a failure.
 
         Tolerances are fixed: 1e-12 for the structural bracket conditions,
         1e-10 for the metric-invariance condition, and 1e-12 max(1, max|c|)^2
         for the Jacobi identity, which is quadratic in the constants c.
         """
-        sub, red, inv = self._split_checks
-        min_eig = min((float(np.linalg.eigvalsh(a).min()) for a in self.alpha),
-                      default=np.inf)
-        scale = max(1.0, float(np.abs(self.alg.structure).max(initial=0.0)))
-        jac = self.alg.check_jacobi(STRUCTURAL_TOL * scale ** 2)
-        return Report((
-            sub, red,
-            _bounded("alpha_symmetry", self._gram - self._gram.T,
-                     STRUCTURAL_TOL),
-            Check("alpha_positive_definite", min_eig > 0.0, min_eig, 0.0),
-            inv,
-            Check("jacobi", jac.passed, jac.max_violation, jac.tol),
-        ))
+        if self._report is None:
+            c, h, m = self.alg.structure, self.h_indices, self.m_indices
+            # alpha_i(ad(e)u, v) + alpha_i(u, ad(e)v) on m, ad(e_n) being
+            # the transpose of c[n, m, m]
+            c_hmm, grams = c[np.ix_(h, m, m)][:, None], self.block_grams
+            moved = c_hmm @ grams + grams @ c_hmm.transpose(0, 1, 3, 2)
+            min_eig = min((float(np.linalg.eigvalsh(a).min())
+                           for a in self.alpha), default=np.inf)
+            scale = max(1.0, float(np.abs(c).max(initial=0.0)))
+            jac = self.alg.check_jacobi(STRUCTURAL_TOL * scale ** 2)
+            self._report = Report((
+                _bounded("subalgebra", c[np.ix_(h, h, m)], STRUCTURAL_TOL),
+                _bounded("reductivity", c[np.ix_(h, m, h)], STRUCTURAL_TOL),
+                _bounded("alpha_symmetry", self._gram - self._gram.T,
+                         STRUCTURAL_TOL),
+                Check("alpha_positive_definite", min_eig > 0.0, min_eig, 0.0),
+                _bounded("invariance", moved, INVARIANCE_TOL),
+                Check("jacobi", jac.passed, jac.max_violation, jac.tol),
+            ))
+        return self._report
 
     # -- serialization -----------------------------------------------------------
 
@@ -260,7 +258,7 @@ class MetricFamily:
                              f" with k >= 1, got {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
             raise ValueError("family coefficients must be finite and positive")
-        space._require_invariant()
+        space._require_valid()
         self.space = space
         self.a = a
         self.a.flags.writeable = False
@@ -280,9 +278,7 @@ def load_space_document(doc: dict):
     names the checks it fails.
     """
     space = ReductiveSpace.from_json_dict(doc)
-    failed = space.validate().failed()
-    if failed:
-        raise ValueError(f"space document fails checks {failed}")
+    space._require_valid()
     family = None
     if "family_a" in doc:
         family = MetricFamily(space, _json_array(doc["family_a"], "family_a"))

@@ -25,6 +25,7 @@ apply to them.
 from __future__ import annotations
 
 import inspect
+from numbers import Real
 
 import numpy as np
 
@@ -84,9 +85,9 @@ def _json_keys(value, key: str) -> list:
 
 
 def _count(value, key: str, least: int = 1) -> int:
-    """An integer argument (a sample count, or a seed with ``least=0``): a
-    Python or numpy integer of at least ``least``, else ``ValueError``
-    naming ``key``; a bool, float, str or None is refused."""
+    """An integer argument (a count or an arity, or a seed or a basis index
+    with ``least=0``): a Python or numpy integer of at least ``least``, else
+    ``ValueError`` naming ``key``; a bool, float, str or None is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{key} must be an integer, not {value!r}")
     if value < least:
@@ -95,10 +96,11 @@ def _count(value, key: str, least: int = 1) -> int:
 
 
 def _positive_tol(tol) -> float:
-    """tol, or ``ValueError`` where it is NaN or not above zero."""
-    if not tol > 0:
+    """tol as a Python float, or ``ValueError`` where it is a bool, not a
+    real number, NaN or not above zero."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not tol > 0:
         raise ValueError(f"tol must be positive, not {tol!r}")
-    return tol
+    return float(tol)
 
 
 def _all(mask) -> bool:
@@ -252,8 +254,8 @@ class LieAlgebra:
                 return self._label_index[key]
             except KeyError:
                 raise ValueError(f"unknown basis label {key!r}") from None
-        i = int(key)
-        if not 0 <= i < self.dim:
+        i = _count(key, "basis index", 0)
+        if i >= self.dim:
             raise ValueError(f"basis index {i} out of range for dim {self.dim}")
         return i
 
@@ -355,7 +357,8 @@ def matrix_exponential(m, t=1.0) -> np.ndarray:
     m = _real(m, "matrix entries")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    a = _real(t, "t")[..., None, None] * m
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        a = _real(t, "t")[..., None, None] * m
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     # squarings per matrix: the fewest that bring the 1-norm below theta_13

@@ -271,18 +271,18 @@ def _check_entry(worst, tol, **witness) -> dict:
 
 
 def _sweep_rng(n_samples: int, seed: int, tol):
-    """n_samples as an int and the generator of an oracle sweep, once
-    n_samples, tol and seed are checked."""
+    """n_samples as an int, tol as a float and the generator of an oracle
+    sweep, once n_samples, tol and seed are checked."""
     n_samples = _count(n_samples, "n_samples")
-    _positive_tol(tol)
-    return n_samples, np.random.default_rng(_count(seed, "seed", 0))
+    tol = _positive_tol(tol)
+    return n_samples, tol, np.random.default_rng(_count(seed, "seed", 0))
 
 
 def extended_matrix_sweep(n_samples: int, seed: int, tol: float) -> dict:
     """Worst display-vs-assembly deviation over the base vectors
     ``y = rng.standard_normal((n, 7))`` and then the weights
     ``c = rng.uniform(0.25, 4.0, (n, 3))`` of ``rng = default_rng(seed)``."""
-    n_samples, rng = _sweep_rng(n_samples, seed, tol)
+    n_samples, tol, rng = _sweep_rng(n_samples, seed, tol)
     y = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
     dev = extended_matrix_deviation(y, c)
@@ -307,7 +307,7 @@ def check_equivariance_sweep(n_samples: int, seed: int, tol: float) -> dict:
     ``v = rng.standard_normal((n, 7))``, ``h = rng.standard_normal((n, 4))``
     and ``t = rng.uniform(-1.0, 1.0, n)``, in that order; y is v at unit norm.
     """
-    n_samples, rng = _sweep_rng(n_samples, seed, tol)
+    n_samples, tol, rng = _sweep_rng(n_samples, seed, tol)
     metric = _equivariance_metric()
     v = rng.standard_normal((n_samples, 7))
     h = rng.standard_normal((n_samples, 4))
@@ -342,7 +342,7 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     The report holds the closed form's worst criterion residual and its
     worst mismatch to the unique solutions; :func:`verify_s7` judges them.
     """
-    n_samples, rng = _sweep_rng(n_samples, seed, tol)
+    n_samples, tol, rng = _sweep_rng(n_samples, seed, tol)
     space = build_s7_space().space
     v = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))

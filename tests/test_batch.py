@@ -413,6 +413,18 @@ def test_overflowing_graph_input_prints_only_the_error():
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def test_empty_batches_give_empty_results(s7, round_metric):
+    # criterion_residuals used to fail in numpy's reshape of size 0
+    y, c, xi = np.zeros((0, 7)), np.zeros((0, 3)), np.zeros((0, 4))
+    assert criterion_residuals(s7.space, y, c, xi).shape == (0, 7)
+    a_mat, b_vec = assemble(s7.space, y, c)
+    assert a_mat.shape == (0, 7, 4) and b_vec.shape == (0, 7)
+    assert solve_batch(s7.space, y, c).xi.shape == (0, 4)
+    assert round_metric.c_coefficients(y).shape == (0, 3)
+    dev = check_equivariance_batch(round_metric, y, xi, np.zeros(0))[0]
+    assert dev.shape == (0,)
+
+
 def test_zero_rows_are_rejected_in_a_batch(s7):
     rows = np.ones((3, 7))
     rows[1] = 0.0

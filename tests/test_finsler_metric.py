@@ -466,6 +466,25 @@ def test_fd_oracle_zero_direction(two_metric):
 
 # -- construction contracts -----------------------------------------------------------
 
+@pytest.mark.parametrize("arity, message", [
+    (2.7, "arity must be an integer, not 2.7"),
+    (True, "arity must be an integer, not True"),
+    (2.0, "arity must be an integer, not 2.0"),
+    (0, "arity must be at least 1")])
+def test_a_combiner_arity_that_is_no_positive_integer_is_refused(arity,
+                                                                 message):
+    # 2.7 used to give arity 2, and True arity 1
+    with pytest.raises(ValueError, match=message):
+        LFunction.custom(lambda u: float(u @ u), lambda u: 2.0 * u, arity)
+
+
+def test_numpy_integer_arities_are_taken_as_ints():
+    for arity in (2, np.int64(2), np.uint8(2)):
+        lf = LFunction("custom", arity, lambda u: (u * u).sum(axis=-1),
+                       lambda u: 2.0 * u)
+        assert lf.arity == 2 and type(lf.arity) is int
+
+
 def test_metric_arity_must_match_family(s7):
     family = MetricFamily(s7.space, [[1.0, 1.0, 1.0]])
     with pytest.raises(ValueError, match="arity"):

@@ -9,7 +9,7 @@ from finslergo import (FinslerMetric, LFunction, LieAlgebra, MetricFamily,
                        orbit_curve, riemannian_metric, solve_batch,
                        solve_geodesic_graph)
 from conftest import (embed, geodesic_bound, mixed_block_space,
-                      unit_m_samples)
+                      non_lie_document, unit_m_samples)
 
 
 @pytest.fixture
@@ -208,7 +208,8 @@ def test_equivariance_rejects_a_split_h_does_not_preserve():
     # [e1, e2] = e1: ad(e1) sends e2 in m to e1 in h
     alg = LieAlgebra(["e1", "e2"], {("e1", "e2"): {"e1": 1.0}})
     space = ReductiveSpace(alg, h=["e1"], blocks=[["e2"]])
-    with pytest.raises(ValueError, match="h does not act invariantly"):
+    with pytest.raises(ValueError,
+                       match=r"the space fails checks \['reductivity'\]"):
         check_equivariance_batch(riemannian_metric(space, [1.0]), [[1.0]],
                                  [[1.0]], [0.5])
 
@@ -229,22 +230,47 @@ def _split_calls(space):
 
 def test_a_split_that_fails_its_structural_checks_is_not_solved(s7):
     # [e1, e2] = e1 leaves m (reductivity); [X1, X2] leaves h (subalgebra);
-    # H2 carries the block [X1, X2] into [X3, X4] (invariance)
+    # H2 carries the block [X1, X2] into [X3, X4] (invariance); a Z1 form
+    # of -1 is indefinite; [Z1, Z2] = 3 Z3 breaks the Jacobi identity
     alg = LieAlgebra(["e1", "e2"], {("e1", "e2"): {"e1": 1.0}})
     rest = ["X3", "X4", "Z1", "Z2", "Z3", "H1", "H2", "H3", "W"]
     spaces = {"reductivity": ReductiveSpace(alg, h=["e1"], blocks=[["e2"]]),
               "subalgebra": ReductiveSpace(s7.algebra, h=["X1", "X2"],
                                            blocks=[rest]),
-              "invariance": mixed_block_space(s7)}
+              "invariance": mixed_block_space(s7),
+              "alpha_positive_definite": ReductiveSpace(
+                  s7.algebra, h=s7.space.h_labels(),
+                  blocks=[b.tolist() for b in s7.space.blocks],
+                  alpha=[np.eye(4), [[-1.0]], np.eye(2)]),
+              "jacobi": ReductiveSpace.from_json_dict(non_lie_document(s7))}
     for failed, space in spaces.items():
         assert failed in space.validate().failed()  # still reported
         for name, call in _split_calls(space).items():
             with pytest.raises(ValueError, match=(
-                    f"h does not act invariantly.*'{failed}'|"
-                    f"'{failed}'.*h does not act invariantly")):
+                    rf"^the space fails checks \[.*'{failed}'.*\]$")):
                 call()
     for call in _split_calls(s7.space).values():
         call()
+
+
+def test_validate_is_computed_once_per_space(s7, monkeypatch):
+    # the report is computed on first use, then every metric, solve and
+    # further validate() reads it; the catalog build computes none of it
+    expect, calls = s7.space.validate(), []
+    jacobi = LieAlgebra.check_jacobi
+    monkeypatch.setattr(LieAlgebra, "check_jacobi",
+                        lambda alg, tol: calls.append(tol) or jacobi(alg, tol))
+    space = ReductiveSpace(s7.algebra, h=s7.space.h_labels(),
+                           blocks=[b.tolist() for b in s7.space.blocks])
+    assert calls == []
+    report = space.validate()
+    for call in _split_calls(space).values():
+        call()
+    metric = riemannian_metric(space, [1.0, 2.0, 4.0])
+    solve_geodesic_graph(metric, [0.3, -0.9, 0.4, 1.1, 0.6, -0.2, 0.8])
+    go_property_scan(metric, 5, 0)
+    assert space.validate() is report and report.passed
+    assert report == expect and len(calls) == 1
 
 
 def test_equivariance_with_trivial_isotropy_is_exact():
@@ -375,6 +401,16 @@ def test_solver_residual_invariant_across_scales(s7, finsler):
 
 
 # -- orbit curves --------------------------------------------------------------------
+
+def test_an_infinite_time_is_refused_without_a_warning(s7, round_metric):
+    # exp(inf * 0) used to warn "invalid value encountered in multiply"
+    # before its ValueError; the tests turn a RuntimeWarning into an error
+    with pytest.raises(ValueError, match="finite"):
+        orbit_curve(s7.realization, np.zeros(11), [np.inf])
+    y = np.ones((1, 7))
+    with pytest.raises(ValueError, match="finite"):
+        check_equivariance_batch(round_metric, y, np.zeros((1, 4)), [np.inf])
+
 
 def test_orbit_starts_at_base_point(s7):
     w = np.zeros(11)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from finslergo import LieAlgebra, matrix_exponential
+from finslergo import LieAlgebra, ReductiveSpace, matrix_exponential
 from conftest import embed
 
 
@@ -45,6 +45,29 @@ def test_rejects_duplicate_labels():
 def test_rejects_unknown_label(so3):
     with pytest.raises(ValueError, match="unknown basis label"):
         so3.index("nope")
+
+
+@pytest.mark.parametrize("key", [1.7, 1.0, True, None, b"1"])
+def test_an_index_that_is_no_integer_is_refused(so3, key):
+    # 1.7 and True used to resolve to 1, by int()
+    with pytest.raises(ValueError, match=r"basis index must be an integer"):
+        so3.index(key)
+
+
+def test_integer_indices_of_python_and_numpy_are_taken(s7, so3):
+    for key in (1, np.int64(1), np.uint8(1), "e2"):
+        assert so3.index(key) == 1
+    with pytest.raises(ValueError, match="out of range"):
+        so3.index(3)
+    with pytest.raises(ValueError, match="basis index must be at least 0"):
+        so3.index(-1)
+    # a fractional index used to truncate: h = [7.9, ...] built with H1 and
+    # the pair (0, 1.5) set the (0, 1) bracket
+    with pytest.raises(ValueError, match="basis index must be an integer"):
+        ReductiveSpace(s7.algebra, h=[7.9, 8, 9, 10],
+                       blocks=[b.tolist() for b in s7.space.blocks])
+    with pytest.raises(ValueError, match="basis index must be an integer"):
+        LieAlgebra(["a", "b"], {(0, 1.5): {0: 1.0}})
 
 
 # -- bracket -------------------------------------------------------------------
@@ -180,8 +203,10 @@ def test_jacobi_rejects_bad_tol(so3):
         so3.check_jacobi(tol=0.0)
 
 
-@pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("-inf")])
+@pytest.mark.parametrize("tol", [-1e-12, float("nan"), float("-inf"), True,
+                                 "1", None, 1e-12 + 0j])
 def test_jacobi_rejects_a_nan_or_negative_tol(so3, tol):
+    # True used to pass as tol=True, and "1" failed in a bare TypeError
     with pytest.raises(ValueError, match="tol must be positive"):
         so3.check_jacobi(tol=tol)
 
@@ -255,6 +280,14 @@ def test_expm_rejects_non_finite():
     bad[0, 1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         matrix_exponential(bad)
+
+
+@pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, [0.5, np.inf], 1e308])
+def test_expm_refuses_a_non_finite_t_times_m_without_a_warning(t):
+    # inf * 0 used to warn "invalid value encountered in multiply", and
+    # 1e308 * 10 "overflow", first; the tests turn either into an error
+    with pytest.raises(ValueError, match="finite"):
+        matrix_exponential(10.0 * np.eye(2), t)
 
 
 # -- adjoint group element exp(t ad(h)) ---------------------------------------------

@@ -300,13 +300,24 @@ def test_verify_closed_form_rejects_zero_samples():
         verify_closed_form(n_samples=0)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan"), True, "a", None])
 @pytest.mark.parametrize("check", [verify_closed_form, extended_matrix_sweep,
                                    check_equivariance_sweep])
 def test_oracle_checks_reject_a_nan_or_non_positive_tol(check, tol):
-    # a NaN tol used to fail every comparison and report passed: False
+    # a NaN tol used to fail every comparison and report passed: False;
+    # True passed as a tol, and "a" failed in a TypeError that named no tol
     with pytest.raises(ValueError, match="tol must be positive"):
         check(20, 0, tol)
+
+
+def test_a_numpy_tol_is_reported_as_a_python_float():
+    # a float32 tol used to be kept, and json.dumps of the document failed
+    doc = verify_s7(20, 0, np.float32(0.5))
+    assert {type(c["tol"]) for c in doc["checks"]} == {float}
+    assert json.loads(json.dumps(doc)) == verify_s7(20, 0, 0.5)
+    for check in (extended_matrix_sweep, check_equivariance_sweep):
+        assert type(check(20, 0, np.float32(0.5))["tol"]) is float
+    assert type(verify_closed_form(20, 0, np.float32(0.5)).tol) is float
 
 
 @pytest.mark.parametrize("check", [verify_closed_form, extended_matrix_sweep,
@@ -506,6 +517,8 @@ def test_verify_s7_holds_each_check_to_its_default_or_to_tol():
     ({"tol": float("nan")}, "tol must be positive, not nan"),
     ({"tol": 0.0}, "tol must be positive, not 0.0"),
     ({"tol": -1e-8}, "tol must be positive, not -1e-08"),
+    ({"tol": True}, "tol must be positive, not True"),
+    ({"tol": "1e-8"}, "tol must be positive, not '1e-8'"),
 ])
 def test_verify_s7_refuses_a_bad_count_or_tol_by_name(kwargs, message):
     with pytest.raises(ValueError, match=message):
