@@ -288,11 +288,13 @@ class FinslerMetric:
     def _weights(self, y, gy) -> tuple:
         """B ``[..., k]`` and C ``[..., 1, s]`` of checked rows, under the
         caller's ``np.errstate``; norms outside (0, inf) raise before the
-        gradient is called, and B is returned unchecked."""
+        gradient is called, and a B that is not finite raises after it."""
         u = self._row_norms(y, gy)[..., 0, :]
         if not (_all(np.isfinite(u)) and _all(u)):  # a root is never < 0
             raise np.linalg.LinAlgError(_NORM_OVERFLOW)
         b = self.lf._grad(u) / (2.0 * u)  # u needs no argument check
+        if not _all(np.isfinite(b)):
+            raise np.linalg.LinAlgError(_GRADIENT_OVERFLOW)
         return b, b[..., None, :] @ self.family.a
 
     def _coefficients(self, ym: Vector) -> tuple:
@@ -300,8 +302,6 @@ class FinslerMetric:
         y = ym[..., None, :]
         with np.errstate(all="ignore"):
             b, c = self._weights(y, self.space._apply_gram(y))
-        if not _all(np.isfinite(b)):
-            raise np.linalg.LinAlgError(_GRADIENT_OVERFLOW)
         return b, c[..., 0, :]
 
     # -- evaluation ---------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 # numpy's LAPACK gufuncs, without np.linalg's copies, checks and errstate
 from numpy.linalg._umath_linalg import inv as _inv, qr_r_raw as _qr_r_raw
 
-from .finsler_metric import _GRADIENT_OVERFLOW, _NORM_OVERFLOW, FinslerMetric
+from .finsler_metric import _NORM_OVERFLOW, FinslerMetric
 from .lie_algebra import (Vector, _abs_row_max, _all, _count, _real,
                           _Record, matrix_exponential)
 
@@ -94,14 +94,12 @@ def _pass(space, Y, C=None, metric=None):
     n, h = len(Y), space.dim_h
     y = Y[:, None, :]  # each row as a 1 x dim_m matrix
     gy = space._apply_gram(y)
-    b_weights, C = ((None, C[:, None, :]) if metric is None
-                    else metric._weights(y, gy))  # B names a failure's cause
+    C = C[:, None, :] if metric is None else metric._weights(y, gy)[1]
     p = ((C.take(space._block_of, axis=-1) * gy) @ space.c_system).reshape(
         n, space.dim, space.dim_m)
     a_mat, b_vec = p[:, :h].transpose(0, 2, 1), -(y @ p[:, h:])[:, 0]
     if not (_all(np.isfinite(a_mat)) and _all(np.isfinite(b_vec))):
-        raise np.linalg.LinAlgError(_NORM_OVERFLOW if metric is None or _all(
-            np.isfinite(b_weights)) else _GRADIENT_OVERFLOW)
+        raise np.linalg.LinAlgError(_NORM_OVERFLOW)
     return a_mat, b_vec
 
 

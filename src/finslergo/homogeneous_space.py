@@ -44,6 +44,9 @@ class ReductiveSpace:
         self.h_indices = np.array([alg.index(k) for k in h], dtype=int)
         self.blocks = [np.array([alg.index(k) for k in blk], dtype=int)
                        for blk in blocks]
+        for i, blk in enumerate(self.blocks):
+            if not len(blk):
+                raise ValueError(f"m block {i} is empty")
         self.m_indices = (np.concatenate(self.blocks)
                           if self.blocks else np.array([], dtype=int))
         # per part: its indices, the other part's, and the other part's name

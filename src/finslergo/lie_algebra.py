@@ -35,11 +35,14 @@ JACOBI_TOL = 1e-12
 
 
 def _real(x, what: str, copy: bool = False) -> np.ndarray:
-    """x as a float array, copied if asked; complex input raises, also with
-    a zero imaginary part, instead of being cut to its real part."""
-    if np.iscomplexobj(x):
-        raise ValueError(f"{what} must be real")
-    return np.array(x, dtype=float) if copy else np.asarray(x, dtype=float)
+    """x as a float array, copied if asked, of integer or float input only:
+    complex input raises, also with a zero imaginary part, and bool, str,
+    bytes and object input raises instead of being converted."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real" + (
+            "" if a.dtype.kind == "c" else f" numbers, not {a.dtype}"))
+    return np.array(a, dtype=float) if copy else a.astype(float, copy=False)
 
 
 def _json_number(value, key: str, kind=float):
@@ -237,7 +240,7 @@ class LieAlgebra:
                     f"bracket pairs must satisfy i < j, got ({i}, {j})")
             for k, v in coeffs.items():
                 k = self.index(k)
-                v = float(v)
+                v = float(_real(v, "structure constants"))
                 if not np.isfinite(v):
                     raise ValueError("structure constants must be finite")
                 c[i, j, k] = v

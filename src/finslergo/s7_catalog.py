@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .finsler_metric import FinslerMetric, LFunction
-from .geodesic import (MatrixRealization, _criterion, _pass, _rows, _solve,
-                       check_equivariance_batch,
+from .geodesic import (MatrixRealization, assemble, check_equivariance_batch,
+                       criterion_residuals, solve_batch,
                        solve_geodesic_graph)  # noqa: F401  (re-exported)
 from .homogeneous_space import MetricFamily, ReductiveSpace
 from .lie_algebra import (LieAlgebra, Vector, _abs_row_max, _count,
@@ -152,12 +152,7 @@ def k_coefficients(c):
 
     A batch ``c[N, 3]`` gives arrays over the rows.
     """
-    return _k(_positive_triple(c))
-
-
-def _k(c):
-    """:func:`k_coefficients` of checked weights."""
-    c1, c2, c3 = c.T
+    c1, c2, c3 = _positive_triple(c).T
     return c2 / c3 - 2.0 * c2 / c1, 1.0 - 2.0 * c3 / c1, c2 / c3 - 1.0
 
 
@@ -183,13 +178,8 @@ def closed_form_xi(y, c) -> Vector:
     applies.  Returns the full 11-vector supported on the isotropy basis;
     rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 11]``.
     """
-    return _closed_form(_components(y), _positive_triple(c))
-
-
-def _closed_form(ym, c) -> Vector:
-    """:func:`closed_form_xi` of checked m-coordinates and weights."""
-    x1, x2, x3, x4, z1, z2, z3 = ym.T
-    k1, k2, k3 = _k(c)
+    x1, x2, x3, x4, z1, z2, z3 = _components(y).T
+    k1, k2, k3 = k_coefficients(c)
     nx = x1 * x1 + x2 * x2 + x3 * x3 + x4 * x4
     on_stratum = nx == 0.0
     nx = np.where(on_stratum, 1.0, nx)
@@ -223,12 +213,7 @@ def extended_matrix(y, c) -> np.ndarray:
     Columns are the four isotropy components followed by the right-hand side.
     Rows ``y[N, n]`` and/or weights ``c[N, 3]`` give ``[N, 6, 5]``.
     """
-    return _display(_components(y), _positive_triple(c))
-
-
-def _display(ym, c) -> np.ndarray:
-    """:func:`extended_matrix` of checked m-coordinates and weights, filled
-    into one array."""
+    ym, c = _components(y), _positive_triple(c)
     x1, x2, x3, x4, z1, z2, z3 = ym.T
     c1, c2, c3 = c.T
     r21, r31, r23 = c2 / c1, c3 / c1, c2 / c3
@@ -252,15 +237,12 @@ def extended_matrix_deviation(Y, C) -> np.ndarray:
     Also includes the magnitude of the assembled Z1 row, which the display
     omits because it vanishes identically.
     """
-    space = build_s7_space().space
-    Y, C = _rows(space, Y, _positive_triple(C))
-    with np.errstate(all="ignore"):
-        a_mat, b_vec = _pass(space, Y, C)
+    C = _positive_triple(C)
+    a_mat, b_vec = assemble(build_s7_space().space, Y, C)
     full = np.concatenate([a_mat, b_vec[..., None]], axis=-1)
-    scale = C[:, [0, 0, 0, 0, 2, 2], None]
-    scaled = full[:, [0, 1, 2, 3, 5, 6]] / scale
+    scaled = full[:, [0, 1, 2, 3, 5, 6]] / C[:, [0, 0, 0, 0, 2, 2], None]
     return np.maximum(_abs_row_max(full[:, 4]),
-                      _abs_row_max(scaled - _display(Y, C)))
+                      _abs_row_max(scaled - extended_matrix(Y, C)))
 
 
 def _check_entry(worst, tol, **witness) -> dict:
@@ -346,24 +328,22 @@ def verify_closed_form(n_samples: int = 1000, seed: int = 0,
     space = build_s7_space().space
     v = rng.standard_normal((n_samples, 7))
     c = rng.uniform(0.25, 4.0, (n_samples, 3))
-    y, c = _rows(space, v / space.alpha_norm(v)[:, None], c)
+    y = v / space.alpha_norm(v)[:, None]
     # riemannian_metric(space, c).c_coefficients(y) == c exactly, so the
-    # weights go straight into the batched criterion; the draws are checked
-    # once, here, and every step below takes them as they are
-    xi = _closed_form(y, c)[:, space.h_indices]
-    residual = _abs_row_max(_criterion(space, y, c, xi))
-    solved, rank = _solve(space, y, c)[:2]
-    unique = rank == space.dim_h
-    mismatch = np.where(unique, _abs_row_max(solved - xi), -1.0)
+    # weights go straight into the criterion and the solve
+    xi = closed_form_xi(y, c)[:, space.h_indices]
+    residual = _abs_row_max(criterion_residuals(space, y, c, xi))
+    sol = solve_batch(space, y, c)
+    mismatch = np.where(sol.unique, _abs_row_max(sol.xi - xi), -1.0)
     i_res, i_mis = int(np.argmax(residual)), int(np.argmax(mismatch))
-    found = bool(unique[i_mis])
+    found = bool(sol.unique[i_mis])
     return ClosedFormReport(
         n_samples=n_samples, tol=tol, max_residual=float(residual[i_res]),
         worst_residual_y=y[i_res], worst_residual_c=c[i_res],
         max_mismatch=max(float(mismatch[i_mis]), 0.0),
         worst_mismatch_y=y[i_mis] if found else np.zeros(7),
         worst_mismatch_c=c[i_mis] if found else np.ones(3),
-        n_unique=int(unique.sum()))
+        n_unique=int(sol.unique.sum()))
 
 
 def verify_s7(n_samples: int = 1000, seed: int = 0, tol=None) -> dict:

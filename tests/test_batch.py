@@ -2,6 +2,7 @@
 checked where it arrives."""
 
 import os
+import re
 import subprocess
 import sys
 import types
@@ -284,6 +285,37 @@ def test_complex_arrays_are_rejected_by_name_without_a_warning(s7,
             for call in group:
                 with pytest.raises(ValueError, match=f"^{what} must be real$"):
                     call()
+
+
+@pytest.mark.parametrize("bad, dtype", [
+    ("0.3", "<U3"), (True, "bool"), (b"1", "|S1"), (None, "object")])
+def test_numbers_are_refused_not_converted(s7, round_metric, bad, dtype):
+    # each of these used to be converted: "0.3" to 0.3 and True to 1.0
+    space = s7.space
+    calls = {
+        "coordinates": lambda: solve_geodesic_graph(round_metric, [bad] * 7),
+        "family coefficients": lambda: MetricFamily(space, [[bad] * 3]),
+        "weights": lambda: LFunction.sum_of_squares([bad, bad]),
+        "block weights C": lambda: solve_batch(space, np.ones((1, 7)),
+                                               [[bad] * 3]),
+        "block weights": lambda: closed_form_xi(np.ones(7), [bad] * 3),
+        "t": lambda: finslergo.matrix_exponential(np.eye(2), bad),
+    }
+    for what, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape(
+                f"{what} must be real numbers, not {dtype}")):
+            call()
+
+
+def test_integer_and_float_inputs_are_taken_as_floats(round_metric):
+    y = [3, 9, 4, 11, 6, 2, 8]
+    expect = solve_geodesic_graph(round_metric, np.array(y, dtype=float))
+    for rows in (y, np.array(y, dtype=np.int32), np.array(y, dtype=np.uint8),
+                 np.array(y, dtype=np.float32)):
+        got = solve_geodesic_graph(round_metric, rows)
+        assert got.y_m.dtype == float
+        assert np.array_equal(got.y_m, expect.y_m)
+        assert np.array_equal(got.xi_h, expect.xi_h)
 
 
 def test_coerce_h_rows_equal_per_row_calls(s7):

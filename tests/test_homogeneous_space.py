@@ -183,13 +183,16 @@ def _set_bracket(doc, **fields):
     (lambda doc: doc["alpha"].__setitem__(2, [1.0, 0.0, 1.0]),
      "alpha entry for a block of 2 needs 4 numbers, not 3"),
     (lambda doc: doc["alpha"].__setitem__(0, 5),
-     "alpha entry for a block of 4 needs 16 numbers, not 1")],
+     "alpha entry for a block of 4 needs 16 numbers, not 1"),
+    (lambda doc: (doc["m_blocks"].insert(1, []), doc["alpha"].insert(1, [])),
+     "m block 1 is empty")],
     ids=["fractional index", "string alpha", "family types", "bool coefficient",
          "extra alpha", "ragged family", "ragged alpha", "fractional key",
          "string basis", "integer label", "string h", "fractional h index",
          "bool h index", "string block", "fractional block index",
          "number blocks", "number alpha", "list coeffs", "list algebra",
-         "null brackets", "list bracket", "short alpha", "number alpha entry"])
+         "null brackets", "list bracket", "short alpha", "number alpha entry",
+         "empty block"])
 def test_space_document_refuses_wrong_types(s7, edit, message):
     doc = s7.space.to_json_dict(MetricFamily(s7.space, [[1.0, 1.0, 1.0]]))
     edit(doc)
@@ -249,6 +252,21 @@ def test_alpha_norm_validates_its_input(s7):
 def test_partition_enforced(s7):
     with pytest.raises(ValueError, match="partition"):
         ReductiveSpace(s7.algebra, h=["H1"], blocks=[["X1", "X2"]])
+
+
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_an_empty_block_is_refused_by_name(s7, at):
+    # it used to fail inside validate(), with numpy's "zero-size array to
+    # reduction operation minimum which has no identity"
+    blocks = [b.tolist() for b in s7.space.blocks]
+    alpha = list(s7.space.alpha)
+    blocks.insert(at, [])
+    alpha.insert(at, np.eye(0))
+    with pytest.raises(ValueError, match=f"^m block {at} is empty$"):
+        ReductiveSpace(s7.algebra, h=s7.space.h_labels(), blocks=blocks,
+                       alpha=alpha)
+    with pytest.raises(ValueError, match=f"^m block {at} is empty$"):
+        ReductiveSpace(s7.algebra, h=s7.space.h_labels(), blocks=blocks)
 
 
 def test_alpha_shape_enforced(s7):

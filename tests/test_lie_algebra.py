@@ -70,6 +70,20 @@ def test_integer_indices_of_python_and_numpy_are_taken(s7, so3):
         LieAlgebra(["a", "b"], {(0, 1.5): {0: 1.0}})
 
 
+@pytest.mark.parametrize("coeff", ["2", True, b"2", None, 2j],
+                         ids=["str", "bool", "bytes", "None", "complex"])
+def test_a_bracket_coefficient_that_is_no_number_is_refused(coeff):
+    # "2" and True used to be read by float() as the constants 2.0 and 1.0
+    with pytest.raises(ValueError, match="structure constants must be real"):
+        LieAlgebra(["a", "b"], {(0, 1): {0: coeff}})
+
+
+def test_integer_and_float_bracket_coefficients_are_taken():
+    for coeff in (2, 2.0, np.int64(2), np.float32(2.0)):
+        alg = LieAlgebra(["a", "b"], {(0, 1): {0: coeff}})
+        assert alg.structure[0, 1, 0] == 2.0 and alg.structure[1, 0, 0] == -2.0
+
+
 # -- bracket -------------------------------------------------------------------
 
 def test_bracket_of_vector_with_itself_vanishes(s7):

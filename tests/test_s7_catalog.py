@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -454,8 +456,7 @@ def test_draws_equal_the_documented_bulk_calls(s7, monkeypatch):
             return real(*args)
         monkeypatch.setattr(s7_catalog, name, recorded)
 
-    # verify_closed_form checks its draws once and solves them by _solve
-    for name in ("extended_matrix_deviation", "_solve",
+    for name in ("extended_matrix_deviation", "solve_batch",
                  "check_equivariance_batch"):
         record(name)
     for seed in range(100):
@@ -467,7 +468,7 @@ def test_draws_equal_the_documented_bulk_calls(s7, monkeypatch):
         v, h, t = _reference_v_h_t(seed, 20)
         for got, expect in [
                 *zip(seen["extended_matrix_deviation"], (y, c)),
-                *zip(seen["_solve"][1:],
+                *zip(seen["solve_batch"][1:],
                      (u / s7.space.alpha_norm(u)[:, None], c_cf)),
                 *zip(seen["check_equivariance_batch"][1:],
                      (v / s7.space.alpha_norm(v)[:, None], h, t))]:
@@ -527,10 +528,22 @@ def test_verify_s7_refuses_a_bad_count_or_tol_by_name(kwargs, message):
 
 # -- the sweeps equal the composition of their public steps -------------------------
 #
-# verify_closed_form and extended_matrix_sweep check their draws once and run
-# private unchecked steps; the references below are the same sweeps written
-# out with the public, checking entry points and the stacked display, and
-# every field must be equal, witnesses included.
+# verify_closed_form and extended_matrix_sweep are compositions of public
+# functions; the references below write the same sweeps out again from those
+# functions (and the stacked display, for extended_matrix), and every field
+# must be equal, witnesses included.  The catalog reaches the solver through
+# its public names only, so a change to the solver's private core cannot
+# leave a second, stale copy of the batch path behind in the catalog.
+
+def test_the_catalog_imports_no_private_solver_name():
+    from finslergo import s7_catalog
+    tree = ast.parse(inspect.getsource(s7_catalog))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "geodesic"
+             for alias in node.names]
+    assert "solve_batch" in names
+    assert [n for n in names if n.startswith("_")] == []
+
 
 def _reference_display(y, c):
     """extended_matrix as 30 broadcast entries stacked row by row."""
