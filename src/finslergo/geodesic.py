@@ -25,7 +25,8 @@ from functools import lru_cache, partial
 
 import numpy as np
 # numpy's LAPACK gufuncs, without np.linalg's copies, checks and errstate
-from numpy.linalg._umath_linalg import inv as _inv, qr_r_raw as _qr_r_raw
+from numpy.linalg._umath_linalg import (inv as _inv, qr_r_raw as _qr_r_raw,
+                                        svd_s as _svd)
 
 from .finsler_metric import _NORM_OVERFLOW, FinslerMetric
 from .lie_algebra import (Vector, _abs_row_max, _all, _count, _real,
@@ -109,11 +110,11 @@ def _upper(h):
 
 
 def _svd_solve(a_mat, b_vec):
-    """Stacked SVD of finite systems, rank by the ``lstsq`` rule: singular
-    values above RANK_RCOND times the largest count.  The condition number
-    is the largest over the smallest of all dim_h singular values, inf where
-    the smallest is 0: on A = 0, and always when dim_m < dim_h."""
-    u, sigma, vt = np.linalg.svd(a_mat, full_matrices=False)
+    """Stacked SVD of finite systems, NaN where LAPACK does not converge;
+    rank by the ``lstsq`` rule: singular values above RANK_RCOND times the
+    largest count.  cond is the largest over the smallest of all dim_h
+    singular values, inf where the smallest is 0 (A = 0, dim_m < dim_h)."""
+    u, sigma, vt = _svd(a_mat, signature="d->ddd")
     kept = sigma > RANK_RCOND * sigma[:, :1]
     coef = (b_vec[:, None, :] @ u) / np.where(kept, sigma, np.inf)[:, None, :]
     low = sigma[:, -1] if sigma.shape[1] == a_mat.shape[2] else 0.0

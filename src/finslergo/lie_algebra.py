@@ -35,10 +35,20 @@ JACOBI_TOL = 1e-12
 
 
 def _real(x, what: str, copy: bool = False) -> np.ndarray:
-    """x as a float array, copied if asked, of integer or float input only:
-    complex input raises, also with a zero imaginary part, and bool, str,
-    bytes and object input raises instead of being converted."""
+    """x as a float array, copied if asked, of integers (also beyond int64,
+    converted as float() does) or floats only: complex raises, and so does
+    bool, str, bytes or other object input, and a bool in a list or tuple."""
     a = np.asarray(x)
+    if isinstance(x, (list, tuple)) or a.dtype.kind == "O":
+        items = np.asarray(x, dtype=object).ravel()
+        if any(isinstance(v, (bool, np.bool_)) for v in items):
+            raise ValueError(f"{what} must be real numbers, not bool")
+        if a.dtype.kind == "O" and all(isinstance(v, (
+                int, float, np.integer, np.floating)) for v in items):
+            try:
+                a = np.array([float(v) for v in items]).reshape(a.shape)
+            except OverflowError:
+                raise ValueError(f"{what} must fit in a float") from None
     if a.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be real" + (
             "" if a.dtype.kind == "c" else f" numbers, not {a.dtype}"))

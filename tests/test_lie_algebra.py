@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from finslergo import LieAlgebra, ReductiveSpace, matrix_exponential
+from finslergo import (LieAlgebra, MetricFamily, ReductiveSpace,
+                       matrix_exponential, riemannian_metric,
+                       solve_geodesic_graph)
 from conftest import embed
 
 
@@ -82,6 +85,50 @@ def test_integer_and_float_bracket_coefficients_are_taken():
     for coeff in (2, 2.0, np.int64(2), np.float32(2.0)):
         alg = LieAlgebra(["a", "b"], {(0, 1): {0: coeff}})
         assert alg.structure[0, 1, 0] == 2.0 and alg.structure[1, 0, 0] == -2.0
+
+
+@pytest.mark.parametrize("bad", [
+    [True] + [0.3] * 6, (0.3,) * 6 + (True,), [np.True_] + [0.3] * 6,
+    np.array([True] + [10**20] * 6, dtype=object)],
+    ids=["list", "tuple", "numpy bool", "object array"])
+def test_a_bool_among_numbers_is_refused(s7, bad):
+    # numpy promotes [True, 0.3, ...] to floats; it used to solve with
+    # x1 = 1.0 and rank 4
+    metric = riemannian_metric(s7.space, [1, 1, 1])
+    with pytest.raises(ValueError,
+                       match="^coordinates must be real numbers, not bool$"):
+        solve_geodesic_graph(metric, bad)
+
+
+def test_a_bool_deep_in_a_list_is_refused(s7):
+    with pytest.raises(ValueError, match="^family coefficients must be real "
+                                         "numbers, not bool$"):
+        MetricFamily(s7.space, [[1.0, 1.0, 1.0], [2.0, 1.0, True]])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([10**400] + [0] * 6, "must fit in a float"),
+    ([10**20, Fraction(1, 2)] + [0] * 5, "must be real numbers, not object"),
+    ([10**20, None] + [0] * 5, "must be real numbers, not object"),
+    ([10**20, "1"] + [0] * 5, "must be real numbers, not object")],
+    ids=["beyond float", "Fraction", "None", "str"])
+def test_an_object_array_of_no_float_is_refused(s7, bad, message):
+    metric = riemannian_metric(s7.space, [1, 1, 1])
+    with pytest.raises(ValueError, match=f"^coordinates {message}$"):
+        solve_geodesic_graph(metric, bad)
+
+
+def test_integers_beyond_int64_are_taken_as_floats(s7):
+    # numpy holds 10**20 as an object; it used to be refused as one
+    metric = riemannian_metric(s7.space, [1, 1, 1])
+    big = solve_geodesic_graph(metric, [10**20, 0, 0, 0, 0, 0, 1])
+    ref = solve_geodesic_graph(metric, [1e20, 0, 0, 0, 0, 0, 1])
+    assert np.array_equal(big.xi_h, [0.0, 0.0, -1.0, 0.0])
+    for name in ("y", "xi", "residual_norm", "rank", "cond"):
+        assert np.asarray(getattr(big, name)).tobytes() == \
+            np.asarray(getattr(ref, name)).tobytes()
+    fam = MetricFamily(s7.space, [[2**70, 1, np.float32(0.5)]])
+    assert np.array_equal(fam.a, [[2.0**70, 1.0, 0.5]])
 
 
 # -- bracket -------------------------------------------------------------------

@@ -82,17 +82,16 @@ def _sphere_quotient(n=5):
 
 
 def _counting(monkeypatch, name):
-    """Shapes of the solve's calls to a LAPACK kernel: the gufuncs
-    ``_qr_r_raw`` and ``_inv`` that geodesic calls directly, or ``svd``."""
-    owner = np.linalg if name == "svd" else geodesic
+    """Shapes of the solve's calls to one of the LAPACK gufuncs that
+    geodesic calls directly: ``_qr_r_raw``, ``_inv`` or ``_svd``."""
     calls = []
-    original = getattr(owner, name)
+    original = getattr(geodesic, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+    monkeypatch.setattr(geodesic, name, counted)
     return calls
 
 
@@ -192,7 +191,7 @@ def test_an_on_stratum_stack_fails_the_certificate_and_takes_the_svd(
         c = round_metric.c_coefficients(y)
         a_mat, b_vec = assemble(s7.space, y, c)
         inverses = _counting(monkeypatch, "_inv")
-        svds = _counting(monkeypatch, "svd")
+        svds = _counting(monkeypatch, "_svd")
         batch = solve_batch(s7.space, y, c)
         assert inverses == [(n, 4, 4)] and svds == [(n, 7, 4)]
         ref_xi, ref_rank = _svd_reference(a_mat, b_vec)
@@ -212,7 +211,7 @@ def test_on_stratum_rows_take_one_inverse_and_the_svd(s7, round_metric,
     a_mat, b_vec = assemble(s7.space, y, c)
     qrs = _counting(monkeypatch, "_qr_r_raw")
     inverses = _counting(monkeypatch, "_inv")
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "_svd")
     solve_batch(s7.space, y[:3], c[:3])
     assert qrs == [(3, 7, 5)] and inverses == [(3, 4, 4)] and svds == []
     del qrs[:], inverses[:]
@@ -264,7 +263,7 @@ def test_a_non_finite_r_never_keeps_its_qr_xi(s7, round_metric, monkeypatch):
 
 def test_full_rank_batches_never_call_the_svd(s7, monkeypatch):
     rng = np.random.default_rng(411)
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "_svd")
     for metric in _metrics(s7).values():
         for kind in ("generic", "near"):
             y = _draw(rng, 200, kind)
@@ -349,7 +348,7 @@ def test_cond_takes_no_second_svd(s7, monkeypatch):
     y = _draw(np.random.default_rng(415), 30, "generic")
     y[::7, :4] = 0.0
     c = metric.c_coefficients(y)
-    svds = _counting(monkeypatch, "svd")
+    svds = _counting(monkeypatch, "_svd")
     batch = solve_batch(s7.space, y, c)
     res = solve_geodesic_graph(metric, y[1])
     assert svds == [(5, 7, 4)]
@@ -614,7 +613,7 @@ def test_sharded_batches_equal_the_serial_solve_bit_for_bit(s7, monkeypatch):
     for cpus, shards in ((2, [512, 512]), (3, [341, 341, 342]),
                          (4, [256] * 4)):
         _set_cpus(monkeypatch, cpus)
-        svds = _counting(monkeypatch, "svd")
+        svds = _counting(monkeypatch, "_svd")
         batch = solve_batch(s7.space, y, c)
         assert sorted(sizes) == shards
         for name in ("xi", "rank", "residual", "cond"):
